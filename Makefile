@@ -1,7 +1,7 @@
 GO ?= go
 CORPUS ?= wikitables
 
-.PHONY: build vet lint test race race-cluster check bench-smoke bench-json bench-kernels trace-smoke segment-churn-smoke netcluster-smoke
+.PHONY: build vet lint test race race-cluster check bench-smoke bench-json bench-kernels trace-smoke segment-churn-smoke netcluster-smoke perfbench-vet
 
 build:
 	$(GO) build ./...
@@ -61,11 +61,19 @@ segment-churn-smoke:
 # protocol and replica failover (hung replica, whole set down, malformed
 # responses), the bit-identical-to-single-engine merge over the wire, a
 # replica killed mid-run leaving every query answered, and the coordinator
-# mode of the HTTP API.
+# mode of the HTTP API — including a search answered while a replicated
+# write hangs on a wedged replica.
 netcluster-smoke:
 	$(GO) test -race ./internal/netcluster/
 	$(GO) test -race -run 'TestNetShard|TestNetCluster' .
 	$(GO) test -race -run 'TestCoordinatorServer' ./internal/httpapi/
+
+# Compile and vet the benchmark harness (its own module, resolving semdisco
+# to this checkout through a replace directive, so it works offline): a
+# public-API change that breaks the harness fails here, not in the
+# benchmark run.
+perfbench-vet:
+	GOWORK=off GOFLAGS=-mod=mod $(GO) -C perfbench vet ./...
 
 # End-to-end tracing smoke: serve a freshly generated corpus as a 4-shard
 # hedged cluster with every trace retained, run one search, and assert the

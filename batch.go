@@ -120,10 +120,44 @@ func (e *Engine) SearchBatch(ctx context.Context, queries []Query) ([]BatchResul
 // not per query. Results are positionally aligned with queries; per-item
 // degradation semantics match SearchContext, and coalesced duplicates are
 // marked Result.Coalesced with their cost charged to the slot owner.
+//
+// The batch runs under one trace (offered to the trace store like a
+// single search), and each item is recorded for the SLO burn rates and
+// workload analytics with its amortized share of the batch latency.
 func (c *Cluster) SearchBatch(ctx context.Context, queries []Query) ([]*ClusterResult, error) {
 	items := make([]cluster.BatchQuery, len(queries))
 	for i, q := range queries {
 		items[i] = cluster.BatchQuery{Query: q.Text, K: q.K}
 	}
-	return c.router.SearchBatch(ctx, items)
+	var tr *obs.Trace
+	if c.traces != nil {
+		tr = obs.NewTraceFrom(ctx)
+	}
+	root := tr.StartRoot("cluster_search_batch").AnnotateInt("queries", len(items))
+	results, err := c.router.SearchBatch(propagate(ctx, tr, root), items)
+	dur := root.End()
+	method := c.cfg.Method.String()
+	o := obs.TraceOutcome{Duration: dur, Method: method + "_batch", K: len(items),
+		RequestID: obs.RequestIDFrom(ctx)}
+	if err != nil {
+		o.Err = err.Error()
+		c.slo.Record(dur, true)
+	}
+	perItem := dur / time.Duration(max(len(items), 1))
+	now := time.Now()
+	for i, res := range results {
+		if tr != nil {
+			res.TraceID = tr.ID().String()
+		}
+		o.Degraded = o.Degraded || res.Degraded
+		o.Hedged += res.Hedged
+		if queries[i].K > 0 {
+			c.slo.Record(perItem, res.Degraded)
+			c.workload.Record(queries[i].Text, method, res.TraceID, res.Cost, perItem, now)
+		}
+	}
+	if tr != nil {
+		offerTrace(c.traces, c.reg, cluster.MetricSearchSeconds, tr, o)
+	}
+	return results, err
 }

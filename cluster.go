@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/gob"
+	"errors"
 	"fmt"
 	"io"
 	"sync"
@@ -12,6 +13,7 @@ import (
 	"semdisco/internal/cluster"
 	"semdisco/internal/core"
 	"semdisco/internal/embed"
+	"semdisco/internal/netcluster"
 	"semdisco/internal/obs"
 	"semdisco/internal/text"
 )
@@ -67,39 +69,82 @@ type ClusterConfig struct {
 	CacheSize int
 }
 
-// clusterShard is one partition's segment store.
+// clusterShard is one partition's backend: a local segment store
+// (NewCluster, LoadCluster) or a remote replica set (NewNetCoordinator)
+// whose writes fan out to every replica, each validating and applying
+// them as its own store would. Exactly one of the two is set.
 type clusterShard struct {
 	store *core.SegmentStore
+	group *netcluster.Group
 }
 
-// Cluster is a sharded federation index: N per-partition segment stores
-// behind a scatter-gather router with per-shard deadlines, hedged retries
-// and partial-result degradation. Search, Add, Delete and Update are all
-// safe for concurrent use: mutations land in the owning shard's mutable
-// segment (or tombstone in place) and fence the router's result cache and
-// coalescer.
+// searcher is the shard as the router scatters to it.
+func (s clusterShard) searcher() cluster.Shard {
+	if s.group != nil {
+		return s.group
+	}
+	return s.store
+}
+
+func (s clusterShard) add(ctx context.Context, r *Relation) error {
+	if s.group == nil {
+		return s.store.Add(r)
+	}
+	return s.group.Add(ctx, netcluster.RelationOf(r))
+}
+
+func (s clusterShard) remove(ctx context.Context, id string) error {
+	if s.group == nil {
+		return s.store.Delete(id)
+	}
+	return s.group.Delete(ctx, id)
+}
+
+func (s clusterShard) update(ctx context.Context, r *Relation) error {
+	if s.group == nil {
+		return s.store.Update(r)
+	}
+	return s.group.Update(ctx, netcluster.RelationOf(r))
+}
+
+// Cluster is a sharded federation index: N partitions behind a
+// scatter-gather router with per-shard deadlines, hedged retries and
+// partial-result degradation. The partitions are local segment stores
+// (NewCluster, LoadCluster) or remote replica sets (NewNetCoordinator);
+// either way the cluster owns the one encoder, the global merge order and
+// the trace, SLO and workload telemetry. Search, Add, Delete and Update are
+// all safe for concurrent use: mutations land in the owning shard (its
+// mutable segment, a tombstone in place, or every replica of its set) and
+// fence the router's result cache and coalescer.
 type Cluster struct {
 	cfg      ClusterConfig
 	model    *embed.Model
-	stats    *text.CorpusStats
+	stats    *text.CorpusStats // nil for remote shards or a custom IDF
 	shards   []clusterShard
+	ring     *netcluster.Ring // remote placement; nil for local shards
 	router   *cluster.Router
 	reg      *obs.Registry
 	traces   *obs.TraceStore // nil when Config.Tracing.Disable
 	workload *obs.Workload   // heavy hitters, shard load skew, costliest queries
 	slo      *obs.SLOEngine  // nil when Config.SLO.Disable
-	// orderMu guards order/owner/nextOrder: mutations write them, the
-	// router's merge tie-break reads order on every query.
+	// writeMu serializes mutations, so a write's placement check and its
+	// bookkeeping stay atomic while the backend write itself runs outside
+	// orderMu: searches keep merging while a remote write waits on its
+	// replicas.
+	writeMu sync.Mutex
+	// orderMu guards order/nextOrder: mutations write them, the router's
+	// merge tie-break reads order on every query.
 	orderMu sync.RWMutex
 	// order maps relation ID to its global insertion rank; the router's
 	// merge tie-breaks on it so the federated ranking matches the
 	// single-engine ranking exactly for exact methods.
-	order map[string]int
-	// owner maps a live relation ID to the shard holding it — required for
-	// Delete/Update, whose ID may not route to its build-time shard under
-	// round-robin.
-	owner     map[string]int
+	order     map[string]int
 	nextOrder int
+	// owner maps a live relation ID to the local shard holding it —
+	// required for Delete/Update, whose ID may not route to its build-time
+	// shard under round-robin. Guarded by writeMu; nil for remote shards,
+	// which the ring places.
+	owner map[string]int
 }
 
 // NewCluster partitions the federation into cfg.Shards slices, builds one
@@ -120,25 +165,7 @@ func NewCluster(fed *Federation, cfg ClusterConfig) (*Cluster, error) {
 	if cfg.Shards > fed.Len() {
 		return nil, fmt.Errorf("semdisco: %d shards for %d relations; shards must not exceed relations", cfg.Shards, fed.Len())
 	}
-
-	idf := cfg.IDF
-	var stats *text.CorpusStats
-	if idf == nil {
-		stats = federationStats(fed)
-		idf = statsIDF(stats)
-	}
-	model := embed.New(embed.Config{
-		Dim:     cfg.Dim,
-		Seed:    cfg.Seed,
-		Lexicon: cfg.Lexicon,
-		IDF:     idf,
-	})
-	var reg *obs.Registry
-	if !cfg.DisableMetrics {
-		reg = obs.NewRegistry()
-	}
-	reg.SetHelps(core.MetricHelp)
-	model.SetObserver(reg)
+	model, reg, stats := federationEncoder(fed, cfg.Config)
 
 	// Partition in federation insertion order so each shard preserves the
 	// relative order of its relations — the invariant the merge's
@@ -169,28 +196,42 @@ func NewCluster(fed *Federation, cfg ClusterConfig) (*Cluster, error) {
 		}
 	}
 
-	c := &Cluster{
-		cfg:       cfg,
-		model:     model,
-		stats:     stats,
-		reg:       reg,
-		traces:    newTraceStore(cfg.Tracing),
-		workload:  newWorkload(cfg.Shards, reg),
-		slo:       newSLOEngine(cfg.SLO, reg),
-		order:     order,
-		owner:     owner,
-		nextOrder: fed.Len(),
-	}
+	shards := make([]clusterShard, cfg.Shards)
 	relCounts := make([]int, cfg.Shards)
-	routerShards := make([]cluster.Shard, cfg.Shards)
 	for i, p := range parts {
-		sh, err := buildClusterShard(cfg.Config, p, model, reg)
+		store, err := newSegmentStore(cfg.Config, core.EmbedFederation(p, model), reg)
 		if err != nil {
 			return nil, fmt.Errorf("semdisco: building shard %d: %w", i, err)
 		}
-		c.shards = append(c.shards, sh)
+		shards[i] = clusterShard{store: store}
 		relCounts[i] = p.Len()
-		routerShards[i] = sh.store
+	}
+	c, err := newCluster(cfg, model, reg, shards, relCounts, order, fed.Len())
+	if err != nil {
+		return nil, err
+	}
+	c.stats, c.owner = stats, owner
+	return c, nil
+}
+
+// newCluster wires built shards behind one scatter-gather router with the
+// cluster's encoder, merge order and telemetry. relCounts seeds each
+// shard's relation count.
+func newCluster(cfg ClusterConfig, model *embed.Model, reg *obs.Registry, shards []clusterShard, relCounts []int, order map[string]int, nextOrder int) (*Cluster, error) {
+	c := &Cluster{
+		cfg:       cfg,
+		model:     model,
+		shards:    shards,
+		reg:       reg,
+		traces:    newTraceStore(cfg.Tracing),
+		workload:  newWorkload(len(shards), reg),
+		slo:       newSLOEngine(cfg.SLO, reg),
+		order:     order,
+		nextOrder: nextOrder,
+	}
+	routerShards := make([]cluster.Shard, len(shards))
+	for i, sh := range shards {
+		routerShards[i] = sh.searcher()
 	}
 	router, err := cluster.NewRouter(routerShards, relCounts, c.routerOptions())
 	if err != nil {
@@ -200,22 +241,9 @@ func NewCluster(fed *Federation, cfg ClusterConfig) (*Cluster, error) {
 	return c, nil
 }
 
-// buildClusterShard embeds one partition with the shared model and wraps
-// it in a segment store, so every shard supports mutation and background
-// compaction independently.
-func buildClusterShard(cfg Config, part *Federation, model *embed.Model, reg *obs.Registry) (clusterShard, error) {
-	emb := core.EmbedFederation(part, model)
-	emb.Obs = reg
-	s, err := buildSearcher(cfg, emb)
-	if err != nil {
-		return clusterShard{}, err
-	}
-	return clusterShard{store: core.NewSegmentStore(emb, s, segmentStoreOptions(cfg))}, nil
-}
-
 // routerOptions translates the public config into the router's options.
 func (c *Cluster) routerOptions() cluster.Options {
-	return cluster.Options{
+	opts := cluster.Options{
 		Policy:        c.cfg.Policy,
 		Slack:         c.cfg.Slack,
 		ShardTimeout:  c.cfg.ShardTimeout,
@@ -236,11 +264,14 @@ func (c *Cluster) routerOptions() cluster.Options {
 		CacheSize: c.cfg.CacheSize,
 		Registry:  c.reg,
 		Workload:  c.workload,
-		SegmentInfo: func(shard int) (int, int) {
+	}
+	if c.shards[0].store != nil {
+		opts.SegmentInfo = func(shard int) (int, int) {
 			st := c.shards[shard].store.Stats()
 			return st.Segments, st.DeadRelations
-		},
+		}
 	}
+	return opts
 }
 
 // Search answers a query by scatter-gather over all shards: the query is
@@ -254,15 +285,13 @@ func (c *Cluster) Search(query string, k int) (*ClusterResult, error) {
 }
 
 // SearchContext is Search under a caller-controlled deadline; the context
-// is threaded into every shard's inner scan loops. With tracing enabled
-// (the default) the query runs under a root span — continuing a propagated
-// trace when ctx carries one — and interesting outcomes (degraded, hedged,
-// errored, slow) land in the trace store under Result.TraceID.
+// is threaded into every shard's inner scan loops, or rides the wire as
+// the replica attempts' deadline. With tracing enabled (the default) the
+// query runs under a root span — continuing a propagated trace when ctx
+// carries one — and interesting outcomes (degraded, hedged, errored, slow)
+// land in the trace store under Result.TraceID.
 func (c *Cluster) SearchContext(ctx context.Context, query string, k int) (*ClusterResult, error) {
-	if c.traces == nil {
-		return c.router.Search(ctx, query, k)
-	}
-	res, _, err := c.searchTraced(ctx, query, k)
+	res, _, err := c.search(ctx, query, k, c.traces != nil)
 	return res, err
 }
 
@@ -277,38 +306,46 @@ func (c *Cluster) SearchTraced(query string, k int) (*ClusterResult, []TraceStag
 // propagated span context (see obs.ContextWithSpan) is continued instead
 // of minting a fresh trace ID.
 func (c *Cluster) SearchTracedContext(ctx context.Context, query string, k int) (*ClusterResult, []TraceStage, error) {
-	res, tr, err := c.searchTraced(ctx, query, k)
+	res, tr, err := c.search(ctx, query, k, true)
 	if err != nil {
 		return nil, nil, err
 	}
 	return res, toTraceStages(tr.Stages()), nil
 }
 
-// searchTraced is the shared traced path behind SearchContext and
-// SearchTraced: the federated query runs under a root span, the finished
-// span tree is offered to the tail-based trace store with the scatter-
-// gather outcome (degradation, hedges, per-shard errors), and a retained
-// trace is linked from the cluster latency histogram via an exemplar.
-func (c *Cluster) searchTraced(ctx context.Context, query string, k int) (*ClusterResult, *obs.Trace, error) {
-	tr := obs.NewTraceFrom(ctx)
+// search is the one federated query path behind SearchContext and
+// SearchTraced, for both shard backends. Traced, the query runs under a
+// root span whose context rides to remote replicas (their span trees come
+// back grafted in), and the finished tree is offered to the tail-based
+// trace store with the scatter-gather outcome; a retained trace is linked
+// from the cluster latency histogram via an exemplar. Traced or not, the
+// query is recorded for the SLO burn rates and workload analytics.
+func (c *Cluster) search(ctx context.Context, query string, k int, traced bool) (*ClusterResult, *obs.Trace, error) {
+	var tr *obs.Trace
+	if traced {
+		tr = obs.NewTraceFrom(ctx)
+	}
 	root := tr.StartRoot("cluster_search")
-	res, err := c.router.SearchTraced(ctx, query, k, tr)
-	if res != nil {
+	res, err := c.router.SearchTraced(propagate(ctx, tr, root), query, k, tr)
+	if res != nil && tr != nil {
 		root.AnnotateInt("matches", len(res.Matches)).
 			AnnotateInt("distance_comps", int(res.Cost.DistanceComps)).
 			AnnotateInt("pq_lookups", int(res.Cost.PQLookups))
 		res.TraceID = tr.ID().String()
 	}
 	dur := root.End()
-	failed := err != nil || (res != nil && res.Degraded)
-	c.slo.Record(dur, failed)
+	method := c.cfg.Method.String()
+	c.slo.Record(dur, err != nil || (res != nil && res.Degraded))
 	if res != nil {
-		c.workload.Record(query, c.cfg.Method.String(), res.TraceID, res.Cost, dur, time.Now())
+		c.workload.Record(query, method, res.TraceID, res.Cost, dur, time.Now())
+	}
+	if tr == nil {
+		return res, nil, err
 	}
 	o := obs.TraceOutcome{
 		Duration:  dur,
 		Query:     query,
-		Method:    c.cfg.Method.String(),
+		Method:    method,
 		K:         k,
 		RequestID: obs.RequestIDFrom(ctx),
 	}
@@ -327,10 +364,23 @@ func (c *Cluster) searchTraced(ctx context.Context, query string, k int) (*Clust
 	return res, tr, err
 }
 
+// propagate threads a federated query's trace down to the shards: the
+// live trace, so replica groups graft the remote span trees they receive,
+// and the root's span context, so every wire request carries a
+// traceparent parenting the shard's spans under root. A nil trace leaves
+// ctx as is.
+func propagate(ctx context.Context, tr *obs.Trace, root *obs.Span) context.Context {
+	if tr == nil {
+		return ctx
+	}
+	ctx = obs.ContextWithTrace(ctx, tr)
+	return obs.ContextWithSpan(ctx, obs.SpanContext{TraceID: tr.ID(), SpanID: root.ID(), Flags: tr.Flags()})
+}
+
 // Traces exposes the cluster's tail-sampling trace store: retained span
-// trees (root → encode/scatter/merge, per-shard attempt children)
-// listable, fetchable by trace ID and exportable as JSON lines. Nil when
-// tracing is disabled.
+// trees (root → encode/scatter/merge, per-shard attempt children, remote
+// replicas' spans grafted in) listable, fetchable by trace ID and
+// exportable as JSON lines. Nil when tracing is disabled.
 func (c *Cluster) Traces() *obs.TraceStore { return c.traces }
 
 // ConfigureTracing replaces the cluster's tracing subsystem, e.g. to apply
@@ -341,26 +391,32 @@ func (c *Cluster) ConfigureTracing(tc TracingConfig) {
 }
 
 // Add routes one new relation to a shard — its hash bucket under
-// ShardByHash, the currently smallest shard under ShardRoundRobin — where
-// it lands in the shard store's mutable segment. The router's result cache
-// and coalescer are fenced. Safe for concurrent use with Search.
-func (c *Cluster) Add(r *Relation) error {
-	c.orderMu.Lock()
-	if _, dup := c.owner[r.ID]; dup {
-		c.orderMu.Unlock()
-		return fmt.Errorf("semdisco: relation %q already indexed", r.ID)
-	}
-	shard := c.router.Route(r.ID)
-	if err := c.shards[shard].store.Add(r); err != nil {
-		c.orderMu.Unlock()
+// ShardByHash, the currently smallest shard under ShardRoundRobin, the
+// ring-owning replica set for remote shards — where it lands in the
+// shard's mutable segment. The router's result cache and coalescer are
+// fenced. Safe for concurrent use with Search.
+func (c *Cluster) Add(r *Relation) error { return c.AddContext(context.Background(), r) }
+
+// AddContext is Add under a caller-controlled context, which bounds a
+// remote shard's replica writes.
+func (c *Cluster) AddContext(ctx context.Context, r *Relation) error {
+	c.writeMu.Lock()
+	defer c.writeMu.Unlock()
+	shard, err := c.place(r.ID)
+	if err != nil {
 		return err
 	}
-	c.order[r.ID] = c.nextOrder
-	c.owner[r.ID] = shard
-	c.nextOrder++
-	c.orderMu.Unlock()
+	undo := c.moveToEnd(r.ID)
+	err = c.shards[shard].add(ctx, r)
+	if !applied(err) {
+		undo()
+		return err
+	}
 	c.router.NoteAdd(shard)
-	return nil
+	if c.owner != nil {
+		c.owner[r.ID] = shard
+	}
+	return err
 }
 
 // Delete tombstones a relation on its owning shard: it stops appearing in
@@ -368,61 +424,133 @@ func (c *Cluster) Add(r *Relation) error {
 // are fenced, and the shard's next compaction reclaims the space. Safe
 // for concurrent use with Search.
 func (c *Cluster) Delete(relationName string) error {
-	c.orderMu.Lock()
-	shard, ok := c.owner[relationName]
-	if !ok {
-		c.orderMu.Unlock()
-		return fmt.Errorf("semdisco: relation %q not found", relationName)
-	}
-	if err := c.shards[shard].store.Delete(relationName); err != nil {
-		c.orderMu.Unlock()
+	return c.DeleteContext(context.Background(), relationName)
+}
+
+// DeleteContext is Delete under a caller-controlled context.
+func (c *Cluster) DeleteContext(ctx context.Context, relationName string) error {
+	c.writeMu.Lock()
+	defer c.writeMu.Unlock()
+	shard, err := c.locate(relationName)
+	if err != nil {
 		return err
 	}
-	delete(c.owner, relationName)
-	delete(c.order, relationName)
-	c.orderMu.Unlock()
-	c.router.NoteDelete(shard)
-	return nil
+	err = c.shards[shard].remove(ctx, relationName)
+	if applied(err) {
+		c.router.NoteDelete(shard)
+	}
+	if err == nil {
+		c.orderMu.Lock()
+		delete(c.order, relationName)
+		c.orderMu.Unlock()
+		delete(c.owner, relationName)
+	}
+	return err
 }
 
 // Update replaces a relation's contents on its owning shard (the relation
 // does not migrate shards) and moves it to the end of the global merge
 // order, matching single-engine Update semantics. Safe for concurrent use
 // with Search.
-func (c *Cluster) Update(r *Relation) error {
-	c.orderMu.Lock()
-	shard, ok := c.owner[r.ID]
-	if !ok {
-		c.orderMu.Unlock()
-		return fmt.Errorf("semdisco: relation %q not found", r.ID)
-	}
-	if err := c.shards[shard].store.Update(r); err != nil {
-		c.orderMu.Unlock()
+func (c *Cluster) Update(r *Relation) error { return c.UpdateContext(context.Background(), r) }
+
+// UpdateContext is Update under a caller-controlled context.
+func (c *Cluster) UpdateContext(ctx context.Context, r *Relation) error {
+	c.writeMu.Lock()
+	defer c.writeMu.Unlock()
+	shard, err := c.locate(r.ID)
+	if err != nil {
 		return err
 	}
-	c.order[r.ID] = c.nextOrder
-	c.nextOrder++
-	c.orderMu.Unlock()
+	undo := c.moveToEnd(r.ID)
+	err = c.shards[shard].update(ctx, r)
+	if !applied(err) {
+		undo()
+		return err
+	}
 	c.router.NoteUpdate(shard)
-	return nil
+	return err
 }
 
-// Compact forces a full compaction on every shard, sequentially.
+// place picks the shard a new relation lands on: the ring owner for
+// remote shards, whose replicas reject duplicates themselves, else the
+// router's choice among local shards. Caller holds writeMu.
+func (c *Cluster) place(id string) (int, error) {
+	if c.ring != nil {
+		return c.ring.Owner(id), nil
+	}
+	if _, dup := c.owner[id]; dup {
+		return 0, fmt.Errorf("semdisco: relation %q already indexed", id)
+	}
+	return c.router.Route(id), nil
+}
+
+// locate finds the shard holding a relation: the ring owner for remote
+// shards, whose replicas report unknown IDs themselves, else the local
+// owner map. Caller holds writeMu.
+func (c *Cluster) locate(id string) (int, error) {
+	if c.ring != nil {
+		return c.ring.Owner(id), nil
+	}
+	shard, ok := c.owner[id]
+	if !ok {
+		return 0, fmt.Errorf("semdisco: relation %q not found", id)
+	}
+	return shard, nil
+}
+
+// moveToEnd gives id the next global merge rank before its write lands,
+// so a search that already sees the written relation tie-breaks it where
+// a single engine would. undo restores the previous rank for a write no
+// shard applied. Caller holds writeMu.
+func (c *Cluster) moveToEnd(id string) (undo func()) {
+	c.orderMu.Lock()
+	prev, had := c.order[id]
+	c.order[id] = c.nextOrder
+	c.nextOrder++
+	c.orderMu.Unlock()
+	return func() {
+		c.orderMu.Lock()
+		if had {
+			c.order[id] = prev
+		} else {
+			delete(c.order, id)
+		}
+		c.orderMu.Unlock()
+	}
+}
+
+// applied reports whether a write took effect on its shard: on success,
+// and on a partial replica write (*netcluster.WriteError) — the mutation
+// is durable where it landed, so the federation's answer may have changed.
+func applied(err error) bool {
+	var we *netcluster.WriteError
+	return err == nil || errors.As(err, &we)
+}
+
+// Compact forces a full compaction on every local shard, sequentially.
+// Remote shards compact on their own servers.
 func (c *Cluster) Compact() error {
-	for i := range c.shards {
-		if err := c.shards[i].store.Compact(); err != nil {
+	for i, sh := range c.shards {
+		if sh.store == nil {
+			continue
+		}
+		if err := sh.store.Compact(); err != nil {
 			return fmt.Errorf("semdisco: compacting shard %d: %w", i, err)
 		}
 	}
 	return nil
 }
 
-// CompactionCheck runs one maintenance pass on every shard: seal
+// CompactionCheck runs one maintenance pass on every local shard: seal
 // over-threshold mutable segments, build pending indexes, compact where a
 // policy trigger fires.
 func (c *Cluster) CompactionCheck() error {
-	for i := range c.shards {
-		if err := c.shards[i].store.Maintain(); err != nil {
+	for i, sh := range c.shards {
+		if sh.store == nil {
+			continue
+		}
+		if err := sh.store.Maintain(); err != nil {
 			return fmt.Errorf("semdisco: maintaining shard %d: %w", i, err)
 		}
 	}
@@ -432,13 +560,11 @@ func (c *Cluster) CompactionCheck() error {
 // NumShards reports the cluster's shard count.
 func (c *Cluster) NumShards() int { return len(c.shards) }
 
-// NumRelations reports the total live relation count across shards.
+// NumRelations reports the live relation count in the global merge order.
 func (c *Cluster) NumRelations() int {
-	n := 0
-	for _, sh := range c.shards {
-		n += sh.store.NumLiveRelations()
-	}
-	return n
+	c.orderMu.RLock()
+	defer c.orderMu.RUnlock()
+	return len(c.order)
 }
 
 // Method reports the per-shard search strategy.
@@ -494,6 +620,13 @@ func (c *Cluster) Save(w io.Writer) error {
 	if c.cfg.IDF != nil {
 		return fmt.Errorf("semdisco: clusters with a custom IDF function cannot be saved")
 	}
+	if c.ring != nil {
+		return fmt.Errorf("semdisco: a networked cluster's partitions persist on their shard servers")
+	}
+	// Holding writeMu keeps the shard images and the order/owner maps one
+	// consistent snapshot.
+	c.writeMu.Lock()
+	defer c.writeMu.Unlock()
 	blobs := make([][]byte, len(c.shards))
 	for i, sh := range c.shards {
 		var buf bytes.Buffer
@@ -502,17 +635,6 @@ func (c *Cluster) Save(w io.Writer) error {
 		}
 		blobs[i] = buf.Bytes()
 	}
-	c.orderMu.RLock()
-	order := make(map[string]int, len(c.order))
-	for k, v := range c.order {
-		order[k] = v
-	}
-	owner := make(map[string]int, len(c.owner))
-	for k, v := range c.owner {
-		owner[k] = v
-	}
-	nextOrder := c.nextOrder
-	c.orderMu.RUnlock()
 	return gob.NewEncoder(w).Encode(clusterPersist{
 		Version:       2,
 		Method:        c.cfg.Method,
@@ -531,10 +653,10 @@ func (c *Cluster) Save(w io.Writer) error {
 		MinHedgeDelay: c.cfg.MinHedgeDelay,
 		HedgeAfter:    c.cfg.HedgeAfter,
 		CacheSize:     c.cfg.CacheSize,
-		Order:         order,
-		NextOrder:     nextOrder,
+		Order:         c.order,
+		NextOrder:     c.nextOrder,
 		StoreBlobs:    blobs,
-		Owner:         owner,
+		Owner:         c.owner,
 		Segments:      c.cfg.Segments,
 	})
 }
@@ -578,35 +700,15 @@ func LoadCluster(r io.Reader) (*Cluster, error) {
 	if p.Stats != nil {
 		idf = statsIDF(p.Stats)
 	}
-	model := embed.New(embed.Config{
-		Dim:     cfg.Dim,
-		Seed:    cfg.Seed,
-		Lexicon: cfg.Lexicon,
-		IDF:     idf,
-	})
-	reg := obs.NewRegistry()
-	reg.SetHelps(core.MetricHelp)
-	model.SetObserver(reg)
+	model, reg := newEncoder(cfg.Config, idf)
 	if p.Order == nil {
 		p.Order = make(map[string]int)
 	}
 	if p.Owner == nil {
 		p.Owner = make(map[string]int)
 	}
-	c := &Cluster{
-		cfg:       cfg,
-		model:     model,
-		stats:     p.Stats,
-		reg:       reg,
-		traces:    newTraceStore(TracingConfig{}),
-		workload:  newWorkload(len(blobs), reg),
-		slo:       newSLOEngine(SLOConfig{}, reg),
-		order:     p.Order,
-		owner:     p.Owner,
-		nextOrder: p.NextOrder,
-	}
+	shards := make([]clusterShard, len(blobs))
 	relCounts := make([]int, len(blobs))
-	routerShards := make([]cluster.Shard, len(blobs))
 	for i, blob := range blobs {
 		var store *core.SegmentStore
 		if p.Version == 1 {
@@ -614,12 +716,9 @@ func LoadCluster(r io.Reader) (*Cluster, error) {
 			if err != nil {
 				return nil, fmt.Errorf("semdisco: restore shard %d: %w", i, err)
 			}
-			emb.Obs = reg
-			s, err := buildSearcher(cfg.Config, emb)
-			if err != nil {
+			if store, err = newSegmentStore(cfg.Config, emb, reg); err != nil {
 				return nil, fmt.Errorf("semdisco: rebuild shard %d: %w", i, err)
 			}
-			store = core.NewSegmentStore(emb, s, segmentStoreOptions(cfg.Config))
 		} else {
 			var err error
 			store, err = core.RestoreSegmentStore(bytes.NewReader(blob), model, reg, segmentStoreOptions(cfg.Config))
@@ -631,17 +730,16 @@ func LoadCluster(r io.Reader) (*Cluster, error) {
 		// live relations.
 		if p.Version == 1 {
 			for _, id := range store.LiveRelations() {
-				c.owner[id] = i
+				p.Owner[id] = i
 			}
 		}
-		c.shards = append(c.shards, clusterShard{store: store})
+		shards[i] = clusterShard{store: store}
 		relCounts[i] = store.NumLiveRelations()
-		routerShards[i] = store
 	}
-	router, err := cluster.NewRouter(routerShards, relCounts, c.routerOptions())
+	c, err := newCluster(cfg, model, reg, shards, relCounts, p.Order, p.NextOrder)
 	if err != nil {
-		return nil, fmt.Errorf("semdisco: %w", err)
+		return nil, err
 	}
-	c.router = router
+	c.stats, c.owner = p.Stats, p.Owner
 	return c, nil
 }

@@ -269,3 +269,44 @@ func TestNewClusterValidation(t *testing.T) {
 		}
 	}
 }
+
+// TestClusterTelemetryWithTracingDisabled: turning tracing off must not
+// turn off the SLO burn rates or the workload analytics — single and
+// batched searches are recorded either way.
+func TestClusterTelemetryWithTracingDisabled(t *testing.T) {
+	c, err := NewCluster(synthFederation(t, 24), ClusterConfig{
+		Config: Config{Method: ExS, Dim: 64, Seed: 1, Tracing: TracingConfig{Disable: true}},
+		Shards: 2,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if c.Traces() != nil {
+		t.Fatal("trace store exists with tracing disabled")
+	}
+	for _, q := range []string{"abc", "bfd", "abc def", "xyz qrs", "mno"} {
+		res, err := c.Search(q, 5)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res.TraceID != "" {
+			t.Fatalf("untraced search reports trace ID %q", res.TraceID)
+		}
+	}
+	check := func(want int64) {
+		t.Helper()
+		if got := c.Workload().Snapshot().Queries; got != want {
+			t.Fatalf("workload queries = %d, want %d", got, want)
+		}
+		for _, o := range c.SLO().Snapshot().Objectives {
+			if got := o.Windows[0].Total; got != want {
+				t.Fatalf("SLO objective %s window total = %d, want %d", o.Objective, got, want)
+			}
+		}
+	}
+	check(5)
+	if _, err := c.SearchBatch(context.Background(), []Query{{"abc", 3}, {"mno", 3}, {"qrs", 3}}); err != nil {
+		t.Fatal(err)
+	}
+	check(8)
+}

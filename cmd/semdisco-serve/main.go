@@ -310,15 +310,6 @@ func serveCoordinator(logger *slog.Logger, cfg semdisco.Config) {
 	if err != nil {
 		fatal(logger, "building coordinator", err)
 	}
-	opts := []httpapi.Option{httpapi.WithLogger(logger)}
-	if *enablePprof {
-		opts = append(opts, httpapi.WithPprof())
-	}
-	srv := &http.Server{
-		Addr:              *addr,
-		Handler:           httpapi.NewCoordinator(nc, opts...),
-		ReadHeaderTimeout: 5 * time.Second,
-	}
 	replicas := 0
 	for _, set := range replicaSets {
 		replicas += len(set)
@@ -327,7 +318,7 @@ func serveCoordinator(logger *slog.Logger, cfg semdisco.Config) {
 		"sets", len(replicaSets), "replicas", replicas,
 		"method", nc.Method().String(), "hedge", *hedge,
 		"attempt_timeout", *attemptTimeout)
-	serveHTTP(logger, srv, func() {
+	serveHTTP(logger, httpapi.NewCoordinator(nc, apiOptions(logger)...), func() {
 		flushTraces(logger, nc.Traces())
 	})
 }
@@ -347,12 +338,7 @@ func serveEngine(logger *slog.Logger, eng *semdisco.Engine) {
 			"slowlog_threshold", *slowThreshold, "trace_sample", *traceSample)
 	}
 
-	opts := []httpapi.Option{httpapi.WithLogger(logger)}
-	if *enablePprof {
-		opts = append(opts, httpapi.WithPprof())
-		logger.Info("pprof enabled", "path", "/debug/pprof/")
-	}
-	api := httpapi.New(eng, opts...)
+	api := httpapi.New(eng, apiOptions(logger)...)
 
 	done := make(chan struct{})
 	if *probeInterval > 0 {
@@ -365,13 +351,8 @@ func serveEngine(logger *slog.Logger, eng *semdisco.Engine) {
 		logger.Info("compactor started", "interval", *compactInterval)
 	}
 
-	srv := &http.Server{
-		Addr:              *addr,
-		Handler:           api,
-		ReadHeaderTimeout: 5 * time.Second,
-	}
 	logger.Info("serving", "addr", *addr, "method", eng.Method().String())
-	serveHTTP(logger, srv, func() {
+	serveHTTP(logger, api, func() {
 		close(done)
 		if stopCompactor != nil {
 			stopCompactor()
@@ -422,28 +403,30 @@ func serveCluster(logger *slog.Logger, cfg semdisco.Config) {
 			"duration", time.Since(start).Round(time.Millisecond))
 	}
 
-	opts := []httpapi.Option{httpapi.WithLogger(logger)}
-	if *enablePprof {
-		opts = append(opts, httpapi.WithPprof())
-	}
-	srv := &http.Server{
-		Addr:              *addr,
-		Handler:           httpapi.NewCluster(cl, opts...),
-		ReadHeaderTimeout: 5 * time.Second,
-	}
 	logger.Info("serving cluster", "addr", *addr,
 		"method", cl.Method().String(), "shards", cl.NumShards())
-	serveHTTP(logger, srv, func() {
+	serveHTTP(logger, httpapi.NewCluster(cl, apiOptions(logger)...), func() {
 		flushTraces(logger, cl.Traces())
 	})
 }
 
-// serveHTTP runs the server until it fails or SIGINT/SIGTERM arrives, then
-// drains: the listener closes (new connections are refused), in-flight
-// requests get up to -drain to finish, and onShutdown runs afterwards to
-// stop background tickers and flush state. A drain overrun force-closes
-// remaining connections rather than hanging the exit.
-func serveHTTP(logger *slog.Logger, srv *http.Server, onShutdown func()) {
+// apiOptions are the httpapi options every role serves with.
+func apiOptions(logger *slog.Logger) []httpapi.Option {
+	opts := []httpapi.Option{httpapi.WithLogger(logger)}
+	if *enablePprof {
+		opts = append(opts, httpapi.WithPprof())
+		logger.Info("pprof enabled", "path", "/debug/pprof/")
+	}
+	return opts
+}
+
+// serveHTTP serves h on -addr until the server fails or SIGINT/SIGTERM
+// arrives, then drains: the listener closes (new connections are
+// refused), in-flight requests get up to -drain to finish, and onShutdown
+// runs afterwards to stop background tickers and flush state. A drain
+// overrun force-closes remaining connections rather than hanging the exit.
+func serveHTTP(logger *slog.Logger, h http.Handler, onShutdown func()) {
+	srv := &http.Server{Addr: *addr, Handler: h, ReadHeaderTimeout: 5 * time.Second}
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
 	errc := make(chan error, 1)

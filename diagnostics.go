@@ -215,7 +215,9 @@ const recallProbeQueries = 16
 // traffic yet (or run with diagnostics disabled) probe with a stride
 // sample of stored value texts instead. The result is exported as the
 // semdisco_recall_at_k gauge. Cost is ~2·recallProbeQueries searches, one
-// of them exhaustive; probe at diagnostic cadence. Must not race with Add.
+// of them exhaustive; probe at diagnostic cadence. Safe for concurrent use
+// with searches and writes: it probes the base segment of a published
+// snapshot.
 //
 // Probe queries bypass the diagnostics layer, so probing never pollutes
 // the slow-query log or the recent-query ring it samples from.

@@ -8,8 +8,6 @@ import (
 	"sort"
 
 	"semdisco/internal/core"
-	"semdisco/internal/embed"
-	"semdisco/internal/obs"
 	"semdisco/internal/text"
 )
 
@@ -209,15 +207,7 @@ func LoadEngine(r io.Reader) (*Engine, error) {
 	if p.Stats != nil {
 		idf = statsIDF(p.Stats)
 	}
-	model := embed.New(embed.Config{
-		Dim:     cfg.Dim,
-		Seed:    cfg.Seed,
-		Lexicon: cfg.Lexicon,
-		IDF:     idf,
-	})
-	reg := obs.NewRegistry()
-	reg.SetHelps(core.MetricHelp)
-	model.SetObserver(reg)
+	model, reg := newEncoder(cfg, idf)
 	var store *core.SegmentStore
 	if p.Version == 1 {
 		// v1 images carry a single monolithic embedding; wrap it as the
@@ -226,12 +216,9 @@ func LoadEngine(r io.Reader) (*Engine, error) {
 		if err != nil {
 			return nil, err
 		}
-		emb.Obs = reg
-		s, err := buildSearcher(cfg, emb)
-		if err != nil {
+		if store, err = newSegmentStore(cfg, emb, reg); err != nil {
 			return nil, err
 		}
-		store = core.NewSegmentStore(emb, s, segmentStoreOptions(cfg))
 	} else {
 		var err error
 		store, err = core.RestoreSegmentStore(bytes.NewReader(p.StoreBlob), model, reg, segmentStoreOptions(cfg))

@@ -2,9 +2,7 @@ package cluster
 
 import (
 	"context"
-	"errors"
 	"fmt"
-	"strconv"
 	"time"
 
 	"semdisco/internal/core"
@@ -183,73 +181,22 @@ func (r *Router) SearchBatch(ctx context.Context, items []BatchQuery) ([]*Result
 // past the shard's observed p95 (which, under batch traffic, reflects
 // batch-sized attempts), one hedged retry of the whole block races it.
 func (r *Router) searchShardBatch(ctx context.Context, i int, qs [][]float32, ks []int) ([][]core.Match, []obs.CostReport, error, bool) {
-	sctx := ctx
-	if r.opts.ShardTimeout > 0 {
-		var cancel context.CancelFunc
-		sctx, cancel = context.WithTimeout(ctx, r.opts.ShardTimeout)
-		defer cancel()
-	}
-	delay, hedge := r.hedgeDelay(i)
-	if !hedge {
-		m, costs, err := r.runShardBatch(sctx, ctx, i, qs, ks, "primary")
-		return m, costs, err, false
-	}
-
-	type outcome struct {
+	type answer struct {
 		matches [][]core.Match
 		costs   []obs.CostReport
-		err     error
-		isHedge bool
 	}
-	ch := make(chan outcome, 2) // buffered: the loser never blocks or leaks
-	launch := func(isHedge bool) {
-		attempt := "primary"
-		if isHedge {
-			attempt = "hedge"
-		}
-		go func() {
-			m, costs, err := r.runShardBatch(sctx, ctx, i, qs, ks, attempt)
-			ch <- outcome{m, costs, err, isHedge}
-		}()
-	}
-	launch(false)
-	timer := time.NewTimer(delay)
-	defer timer.Stop()
-
-	hedged := false
-	var first outcome
-	select {
-	case first = <-ch:
-	case <-timer.C:
-		hedged = true
-		r.state[i].hedges.Add(1)
-		r.reg.Counter(MetricHedges).Inc()
-		launch(true)
-		first = <-ch
-	}
-	if first.err == nil {
-		if first.isHedge {
-			r.reg.Counter(MetricHedgeWins).Inc()
-		}
-		return first.matches, first.costs, nil, hedged
-	}
-	if hedged {
-		if second := <-ch; second.err == nil {
-			if second.isHedge {
-				r.reg.Counter(MetricHedgeWins).Inc()
-			}
-			return second.matches, second.costs, nil, hedged
-		}
-	}
-	return nil, first.costs, first.err, hedged
+	a, err, hedged := hedged(r, ctx, i, func(sctx context.Context, attempt string) (answer, error) {
+		m, costs, err := r.runShardBatch(sctx, ctx, i, qs, ks, attempt)
+		return answer{m, costs}, err
+	})
+	return a.matches, a.costs, err, hedged
 }
 
 // runShardBatch executes one batched shard attempt: the BatchShard fast
 // path when the shard supports it, a per-query fallback loop otherwise.
 // Per-query costs are collected either way.
 func (r *Router) runShardBatch(sctx, parent context.Context, i int, qs [][]float32, ks []int, attempt string) ([][]core.Match, []obs.CostReport, error) {
-	st := r.state[i]
-	st.searches.Add(1)
+	r.state[i].searches.Add(1)
 	r.opts.Workload.RecordShard(i)
 	costs := make([]*obs.Cost, len(qs))
 	for j := range costs {
@@ -271,21 +218,13 @@ func (r *Router) runShardBatch(sctx, parent context.Context, i int, qs [][]float
 			}
 		}
 	}
-	d := time.Since(start)
+	r.recordAttempt(parent, i, time.Since(start), err)
 	reps := make([]obs.CostReport, len(costs))
 	for j, c := range costs {
 		reps[j] = c.Report()
 	}
-	r.reg.Histogram(obs.L(MetricShardSearchSeconds, "shard", strconv.Itoa(i))).Observe(d)
-	if err == nil {
-		st.lat.record(d)
-		return ms, reps, nil
+	if err != nil {
+		return nil, reps, err
 	}
-	st.errors.Add(1)
-	r.reg.Counter(obs.L(MetricShardErrors, "shard", strconv.Itoa(i))).Inc()
-	if errors.Is(err, context.DeadlineExceeded) && parent.Err() == nil {
-		st.timeouts.Add(1)
-		r.reg.Counter(obs.L(MetricShardTimeouts, "shard", strconv.Itoa(i))).Inc()
-	}
-	return nil, reps, err
+	return ms, reps, nil
 }

@@ -439,7 +439,13 @@ func (r *Router) SearchTraced(ctx context.Context, query string, k int, tr *obs.
 		r.inflightMu.Unlock()
 
 		res, err := r.searchScatter(ctx, query, k, tr, start, key)
-		c.res, c.err = res, err
+		c.err = err
+		if res != nil {
+			// Followers copy from their own snapshot: the caller owns res
+			// and may annotate it (e.g. its TraceID) while they read.
+			shared := *res
+			c.res = &shared
+		}
 		r.inflightMu.Lock()
 		delete(r.inflight, key)
 		r.inflightMu.Unlock()
@@ -548,6 +554,24 @@ func (r *Router) searchScatter(ctx context.Context, query string, k int, tr *obs
 // hedged retry when the primary runs past the shard's observed p95. Each
 // attempt records a child span under the scatter span.
 func (r *Router) searchShard(ctx context.Context, scatter *obs.Span, i int, q []float32, k int) ([]core.Match, obs.CostReport, error, bool) {
+	type answer struct {
+		matches []core.Match
+		cost    obs.CostReport
+	}
+	a, err, hedged := hedged(r, ctx, i, func(sctx context.Context, attempt string) (answer, error) {
+		m, cost, err := r.runShard(sctx, ctx, scatter, i, q, k, attempt)
+		return answer{m, cost}, err
+	})
+	return a.matches, a.cost, err, hedged
+}
+
+// hedged runs one shard request under the per-shard deadline: attempt
+// runs once as the primary, and — when hedging is armed and the primary
+// runs past the shard's observed p95 — once more as a hedge racing it.
+// The first success wins; with both failing, the first failure's answer
+// (its cost accounting included) and error are returned. The bool reports
+// whether a hedge launched.
+func hedged[T any](r *Router, ctx context.Context, i int, attempt func(sctx context.Context, kind string) (T, error)) (T, error, bool) {
 	sctx := ctx
 	if r.opts.ShardTimeout > 0 {
 		var cancel context.CancelFunc
@@ -556,37 +580,36 @@ func (r *Router) searchShard(ctx context.Context, scatter *obs.Span, i int, q []
 	}
 	delay, hedge := r.hedgeDelay(i)
 	if !hedge {
-		m, cost, err := r.runShard(sctx, ctx, scatter, i, q, k, "primary")
-		return m, cost, err, false
+		a, err := attempt(sctx, "primary")
+		return a, err, false
 	}
 
 	type outcome struct {
-		matches []core.Match
-		cost    obs.CostReport
+		answer  T
 		err     error
 		isHedge bool
 	}
 	ch := make(chan outcome, 2) // buffered: the loser never blocks or leaks
 	launch := func(isHedge bool) {
-		attempt := "primary"
+		kind := "primary"
 		if isHedge {
-			attempt = "hedge"
+			kind = "hedge"
 		}
 		go func() {
-			m, cost, err := r.runShard(sctx, ctx, scatter, i, q, k, attempt)
-			ch <- outcome{m, cost, err, isHedge}
+			a, err := attempt(sctx, kind)
+			ch <- outcome{a, err, isHedge}
 		}()
 	}
 	launch(false)
 	timer := time.NewTimer(delay)
 	defer timer.Stop()
 
-	hedged := false
+	launched := false
 	var first outcome
 	select {
 	case first = <-ch:
 	case <-timer.C:
-		hedged = true
+		launched = true
 		r.state[i].hedges.Add(1)
 		r.reg.Counter(MetricHedges).Inc()
 		launch(true)
@@ -596,18 +619,18 @@ func (r *Router) searchShard(ctx context.Context, scatter *obs.Span, i int, q []
 		if first.isHedge {
 			r.reg.Counter(MetricHedgeWins).Inc()
 		}
-		return first.matches, first.cost, nil, hedged
+		return first.answer, nil, launched
 	}
-	if hedged {
+	if launched {
 		// The first finisher failed; its twin may still come through.
 		if second := <-ch; second.err == nil {
 			if second.isHedge {
 				r.reg.Counter(MetricHedgeWins).Inc()
 			}
-			return second.matches, second.cost, nil, hedged
+			return second.answer, nil, launched
 		}
 	}
-	return nil, first.cost, first.err, hedged
+	return first.answer, first.err, launched
 }
 
 // runShard executes one shard search attempt, recording latency, its span
@@ -615,8 +638,7 @@ func (r *Router) searchShard(ctx context.Context, scatter *obs.Span, i int, q []
 // and failure detail) and classifying failures. parent distinguishes a
 // shard-deadline timeout from the whole query's context dying.
 func (r *Router) runShard(sctx, parent context.Context, scatter *obs.Span, i int, q []float32, k int, attempt string) ([]core.Match, obs.CostReport, error) {
-	st := r.state[i]
-	st.searches.Add(1)
+	r.state[i].searches.Add(1)
 	r.opts.Workload.RecordShard(i)
 	sp := scatter.StartChild("shard").
 		AnnotateInt("shard", i).
@@ -624,27 +646,40 @@ func (r *Router) runShard(sctx, parent context.Context, scatter *obs.Span, i int
 	cost := &obs.Cost{}
 	start := time.Now()
 	m, err := r.shards[i].SearchEncoded(obs.ContextWithCost(sctx, cost), q, k)
-	d := time.Since(start)
 	rep := cost.Report()
+	if r.recordAttempt(parent, i, time.Since(start), err) {
+		sp.Annotate("timeout", "true")
+	}
+	if err != nil {
+		sp.Annotate("error", err.Error()).End()
+		return nil, rep, err
+	}
+	sp.AnnotateInt("matches", len(m)).
+		AnnotateInt("distance_comps", int(rep.DistanceComps)).
+		AnnotateInt("pq_lookups", int(rep.PQLookups)).
+		End()
+	return m, rep, nil
+}
+
+// recordAttempt accounts one finished attempt on shard i — its latency,
+// and for a failure the error and, when the shard's own deadline rather
+// than the parent query's expired, the timeout — and reports whether it
+// timed out.
+func (r *Router) recordAttempt(parent context.Context, i int, d time.Duration, err error) (timedOut bool) {
+	st := r.state[i]
 	r.reg.Histogram(obs.L(MetricShardSearchSeconds, "shard", strconv.Itoa(i))).Observe(d)
 	if err == nil {
 		st.lat.record(d)
-		sp.AnnotateInt("matches", len(m)).
-			AnnotateInt("distance_comps", int(rep.DistanceComps)).
-			AnnotateInt("pq_lookups", int(rep.PQLookups)).
-			End()
-		return m, rep, nil
+		return false
 	}
 	st.errors.Add(1)
 	r.reg.Counter(obs.L(MetricShardErrors, "shard", strconv.Itoa(i))).Inc()
-	sp.Annotate("error", err.Error())
-	if errors.Is(err, context.DeadlineExceeded) && parent.Err() == nil {
-		st.timeouts.Add(1)
-		r.reg.Counter(obs.L(MetricShardTimeouts, "shard", strconv.Itoa(i))).Inc()
-		sp.Annotate("timeout", "true")
+	if !errors.Is(err, context.DeadlineExceeded) || parent.Err() != nil {
+		return false
 	}
-	sp.End()
-	return nil, rep, err
+	st.timeouts.Add(1)
+	r.reg.Counter(obs.L(MetricShardTimeouts, "shard", strconv.Itoa(i))).Inc()
+	return true
 }
 
 // hedgeDelay returns when a hedge should launch for shard i, and whether

@@ -152,14 +152,26 @@ func (b *Bench) NetclusterReport(sets, replicas, k int) (*NetclusterReportJSON, 
 			replicaSets[i] = append(replicaSets[i], srv.URL)
 		}
 	}
+	// The networked deployment is the same Router over one replica Group
+	// per set, every wire request passing the fault injector.
 	inj := netcluster.NewFaultInjector(nil)
-	coord, err := netcluster.NewCoordinator(replicaSets, netcluster.CoordinatorOptions{
-		Encode:         sb.Model.Encode,
-		Order:          orderOf,
-		Method:         "ExS",
-		AttemptTimeout: 2 * time.Second,
-		Hedge:          true,
-		Transport:      inj,
+	newClient := func(u string) *netcluster.Client { return netcluster.NewClient(u, inj) }
+	groups := make([]*netcluster.Group, sets)
+	groupShards := make([]cluster.Shard, sets)
+	for i, urls := range replicaSets {
+		g, err := netcluster.NewGroup(i, urls, newClient, netcluster.GroupOptions{
+			AttemptTimeout: 2 * time.Second,
+			Hedge:          true,
+		})
+		if err != nil {
+			return nil, err
+		}
+		groups[i], groupShards[i] = g, g
+	}
+	coord, err := cluster.NewRouter(groupShards, relCounts, cluster.Options{
+		Method: "ExS",
+		Encode: sb.Model.Encode,
+		Order:  orderOf,
 	})
 	if err != nil {
 		return nil, err
@@ -253,7 +265,8 @@ func (b *Bench) NetclusterReport(sets, replicas, k int) (*NetclusterReportJSON, 
 		}
 	}
 	report.Straggler = tailLatency(strag)
-	for _, gs := range coord.Stats().Groups {
+	for _, g := range groups {
+		gs := g.Stats()
 		report.StragglerHedges += gs.Hedges
 		report.StragglerRetries += gs.Retries
 	}

@@ -49,7 +49,7 @@ type BatchSearchResponse struct {
 // handleSearchBatch answers POST /v1/search/batch: a block of queries
 // executed in one fused pass — one blocked scan scoring every query per
 // corpus chunk in engine mode, one scatter-gather per shard for the whole
-// block in cluster mode. Results are positionally aligned with the request.
+// block in federated mode. Results are positionally aligned with the request.
 func (s *Server) handleSearchBatch(w http.ResponseWriter, r *http.Request) {
 	var req BatchSearchRequest
 	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
@@ -81,36 +81,23 @@ func (s *Server) handleSearchBatch(w http.ResponseWriter, r *http.Request) {
 	}
 	annotate(r, slog.Int("batch", len(queries)))
 
-	s.mu.RLock()
-	defer s.mu.RUnlock()
 	resp := BatchSearchResponse{Results: make([]BatchItemJSON, len(queries))}
-	if s.cluster != nil || s.coord != nil {
-		var (
-			results []*semdisco.ClusterResult
-			err     error
-		)
-		if s.coord != nil {
-			results, err = s.coord.SearchBatch(r.Context(), queries)
-		} else {
-			results, err = s.cluster.SearchBatch(r.Context(), queries)
-		}
+	if s.cluster != nil {
+		results, err := s.cluster.SearchBatch(r.Context(), queries)
 		if err != nil {
 			writeError(w, http.StatusInternalServerError, err.Error())
 			return
 		}
 		for i, res := range results {
 			cost := res.Cost
-			item := BatchItemJSON{
-				Matches:   matchesJSON(res.Matches),
-				Cost:      &cost,
-				Degraded:  res.Degraded,
-				CacheHit:  res.CacheHit,
-				Coalesced: res.Coalesced,
+			resp.Results[i] = BatchItemJSON{
+				Matches:     matchesJSON(res.Matches),
+				Cost:        &cost,
+				Degraded:    res.Degraded,
+				ShardErrors: shardErrors(res),
+				CacheHit:    res.CacheHit,
+				Coalesced:   res.Coalesced,
 			}
-			for _, se := range res.ShardErrors {
-				item.ShardErrors = append(item.ShardErrors, se.Error())
-			}
-			resp.Results[i] = item
 		}
 		writeJSON(w, http.StatusOK, resp)
 		return

@@ -8,39 +8,32 @@ import (
 )
 
 // requireEngine gates engine-only surfaces (datasets, debug endpoints):
-// in cluster and coordinator modes they respond 501 rather than pretending
-// a monolithic engine exists behind the router.
+// in federated mode they respond 501 rather than pretending a monolithic
+// engine exists behind the router.
 func (s *Server) requireEngine(w http.ResponseWriter) bool {
 	if s.eng != nil {
 		return true
 	}
-	mode := "cluster"
-	if s.coord != nil {
-		mode = "coordinator"
-	}
-	writeError(w, http.StatusNotImplemented, "endpoint not available in "+mode+" mode")
+	writeError(w, http.StatusNotImplemented, "endpoint not available in federated mode")
 	return false
 }
 
-// add routes an ingest to whichever backend the server fronts. Caller
-// holds the write lock.
+// add routes an ingest to whichever backend the server fronts.
 func (s *Server) add(ctx context.Context, rel *semdisco.Relation) error {
-	switch {
-	case s.coord != nil:
-		return s.coord.Add(ctx, rel)
-	case s.cluster != nil:
-		return s.cluster.Add(rel)
+	if s.cluster != nil {
+		return s.cluster.AddContext(ctx, rel)
 	}
 	return s.eng.Add(rel)
 }
 
-// clusterSearch answers /v1/search by scatter-gather. The request context
-// is threaded into every shard's scan loops, so a client hanging up stops
-// shard work; degradation metadata rides along in the response instead of
-// failing the query. Caller holds the read lock.
+// clusterSearch answers /v1/search by federated scatter-gather. The
+// request context is threaded into every local shard's scan loops, or
+// rides the wire as the replica attempts' deadline and traceparent, so a
+// client hanging up stops shard work; degradation metadata rides along in
+// the response instead of failing the query.
 func (s *Server) clusterSearch(w http.ResponseWriter, r *http.Request, req SearchRequest) {
 	if len(req.Sources) > 0 {
-		writeError(w, http.StatusNotImplemented, "source-filtered search not available in cluster mode")
+		writeError(w, http.StatusNotImplemented, "source-filtered search not available in federated mode")
 		return
 	}
 	var (
@@ -58,25 +51,22 @@ func (s *Server) clusterSearch(w http.ResponseWriter, r *http.Request, req Searc
 		return
 	}
 	cost := res.Cost
-	resp := SearchResponse{
-		Matches:  make([]MatchJSON, len(res.Matches)),
-		TraceID:  res.TraceID,
-		Degraded: res.Degraded,
-		CacheHit: res.CacheHit,
-		Cost:     &cost,
-	}
-	for i, m := range res.Matches {
-		resp.Matches[i] = MatchJSON{RelationID: m.RelationID, Score: m.Score}
-	}
+	writeJSON(w, http.StatusOK, SearchResponse{
+		Matches:     matchesJSON(res.Matches),
+		TraceID:     res.TraceID,
+		Trace:       traceJSON(stages),
+		Degraded:    res.Degraded,
+		ShardErrors: shardErrors(res),
+		CacheHit:    res.CacheHit,
+		Cost:        &cost,
+	})
+}
+
+// shardErrors lists a federated answer's failed shards for the response.
+func shardErrors(res *semdisco.ClusterResult) []string {
+	var out []string
 	for _, se := range res.ShardErrors {
-		resp.ShardErrors = append(resp.ShardErrors, se.Error())
+		out = append(out, se.Error())
 	}
-	if stages != nil {
-		t := &TraceJSON{Stages: stages}
-		for _, st := range stages {
-			t.TotalMS += st.DurationMS
-		}
-		resp.Trace = t
-	}
-	writeJSON(w, http.StatusOK, resp)
+	return out
 }

@@ -70,8 +70,6 @@ func (s *Server) handleDebugSlow(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, "n must be a non-negative integer")
 		return
 	}
-	s.mu.RLock()
-	defer s.mu.RUnlock()
 	writeJSON(w, http.StatusOK, SlowQueriesResponse{
 		SlowLogStats: s.eng.SlowLogStats(),
 		SlowQueries:  s.eng.SlowQueries(n),
@@ -93,8 +91,6 @@ func (s *Server) handleDebugIndex(w http.ResponseWriter, _ *http.Request) {
 	if !s.requireEngine(w) {
 		return
 	}
-	s.mu.RLock()
-	defer s.mu.RUnlock()
 	writeJSON(w, http.StatusOK, IndexDebugResponse{
 		IndexHealth: s.eng.IndexHealth(),
 		Segments:    s.eng.SegmentStats(),
@@ -120,8 +116,6 @@ func (s *Server) handleDebugRecall(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	defer s.probeMu.Unlock()
-	s.mu.RLock()
-	defer s.mu.RUnlock()
 	res, err := s.eng.RecallProbe(k)
 	if err != nil {
 		writeError(w, http.StatusInternalServerError, err.Error())
@@ -161,8 +155,8 @@ func (s *Server) handleDebugJournal(w http.ResponseWriter, r *http.Request) {
 
 // StartRecallProbe launches a goroutine probing recall@k every interval
 // until ctx is done (used by semdisco-serve's -recall-probe-interval).
-// Each probe takes the server's read lock, so probes never race adds, and
-// the probe mutex, so they never pile up behind a slow manual probe.
+// Each probe takes the probe mutex, so probes never pile up behind a slow
+// manual probe.
 func (s *Server) StartRecallProbe(done <-chan struct{}, interval time.Duration, k int) {
 	if interval <= 0 || s.eng == nil {
 		return
@@ -181,9 +175,7 @@ func (s *Server) StartRecallProbe(done <-chan struct{}, interval time.Duration, 
 				if !s.probeMu.TryLock() {
 					continue
 				}
-				s.mu.RLock()
 				res, err := s.eng.RecallProbe(k)
-				s.mu.RUnlock()
 				s.probeMu.Unlock()
 				if s.log != nil {
 					if err != nil {

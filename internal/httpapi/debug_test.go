@@ -2,8 +2,10 @@ package httpapi
 
 import (
 	"encoding/json"
+	"fmt"
 	"net/http"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -201,4 +203,46 @@ func TestStartRecallProbe(t *testing.T) {
 		time.Sleep(5 * time.Millisecond)
 	}
 	t.Fatal("periodic probe never exported a recall gauge")
+}
+
+// TestRecallProbeDuringWrites: with no server-wide lock, recall probes,
+// searches and the write path run concurrently against one engine; the
+// race detector checks the engine's own synchronization covers them.
+func TestRecallProbeDuringWrites(t *testing.T) {
+	srv := testServer(t)
+	var wg sync.WaitGroup
+	wg.Add(2)
+	go func() {
+		defer wg.Done()
+		for i := 0; i < 20; i++ {
+			id := fmt.Sprintf("extra-%d", i)
+			body := `{"id":"` + id + `","source":"S","columns":["Mineral"],"rows":[["Quartz ` + id + `"]]}`
+			if rec, out := do(t, srv, "POST", "/v1/relations", body); rec.Code != http.StatusCreated {
+				t.Errorf("add %s = %d %s", id, rec.Code, out)
+				return
+			}
+			if i%2 == 0 {
+				if rec, out := do(t, srv, "DELETE", "/v1/relations/"+id, ""); rec.Code != http.StatusOK {
+					t.Errorf("delete %s = %d %s", id, rec.Code, out)
+					return
+				}
+			}
+		}
+	}()
+	go func() {
+		defer wg.Done()
+		for i := 0; i < 20; i++ {
+			if rec, out := do(t, srv, "POST", "/v1/search", `{"query":"mineral hardness","k":3}`); rec.Code != http.StatusOK {
+				t.Errorf("search = %d %s", rec.Code, out)
+				return
+			}
+		}
+	}()
+	for i := 0; i < 5; i++ {
+		rec, out := do(t, srv, "GET", "/v1/debug/recall?k=3", "")
+		if rec.Code != http.StatusOK && rec.Code != http.StatusTooManyRequests {
+			t.Errorf("recall probe = %d %s", rec.Code, out)
+		}
+	}
+	wg.Wait()
 }

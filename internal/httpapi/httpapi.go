@@ -24,12 +24,13 @@
 //	GET  /v1/debug/slo          SLO burn rates per objective and window, with alert states
 //	GET  /debug/pprof/          runtime profiles (only with WithPprof)
 //
-// Engine-mode servers additionally mount the internal encoded-search
-// endpoints (POST /internal/v1/search/encoded and .../encoded/batch): a
-// networked-cluster coordinator that already embedded the query posts the
-// raw vector, so shards never re-encode. Coordinator-mode servers
-// (NewCoordinator) answer the public API by wire-level scatter-gather over
-// replica sets.
+// A server runs in one of two modes. Engine mode (New) fronts one Engine
+// and additionally mounts the internal encoded-search endpoints (POST
+// /internal/v1/search/encoded and .../encoded/batch): a networked-cluster
+// coordinator that already embedded the query posts the raw vector, so
+// shards never re-encode. Federated mode fronts a semdisco.Cluster and
+// answers the public API by scatter-gather — over in-process shards
+// (NewCluster) or over replica sets of shard servers (NewCoordinator).
 //
 // Every request runs under a W3C trace context: an inbound traceparent
 // header is continued, otherwise a trace ID is minted; the ID is stamped
@@ -61,25 +62,22 @@ import (
 	"semdisco/internal/obs"
 )
 
-// Server wraps an Engine with HTTP handlers. Incremental adds are
-// serialized with searches through an RWMutex because Engine.Add must not
-// race with Engine.Search.
+// Server wraps an Engine or a federated Cluster with HTTP handlers. Both
+// backends synchronize internally — searches run concurrently with adds,
+// deletes and updates — so the server adds no lock of its own.
 type Server struct {
-	mu      sync.RWMutex
 	probeMu sync.Mutex // at most one recall probe at a time
 	eng     *semdisco.Engine
-	// cluster is set instead of eng when the server fronts a sharded
-	// federation (NewCluster). Engine-only surfaces (datasets, the debug
-	// endpoints) respond 501 in cluster mode.
+	// cluster is set instead of eng in federated mode. Engine-only
+	// surfaces (datasets, the index and recall debug endpoints) respond
+	// 501 there.
 	cluster *semdisco.Cluster
-	// coord is set instead when the server is a networked-cluster
-	// coordinator (NewCoordinator): searches fan out over the wire to
-	// replica sets, writes route to the ring-owning set's replicas.
-	coord *semdisco.NetCoordinator
-	mux   *http.ServeMux
-	log     *slog.Logger  // nil: request logging off
-	reg     *obs.Registry // engine registry; nil when metrics are disabled
-	start   time.Time
+	// clusterStats fills the federated backend's section of /v1/stats.
+	clusterStats func(*StatsResponse)
+	mux          *http.ServeMux
+	log          *slog.Logger  // nil: request logging off
+	reg          *obs.Registry // engine registry; nil when metrics are disabled
+	start        time.Time
 }
 
 // Option configures a Server.
@@ -121,7 +119,15 @@ func New(eng *semdisco.Engine, opts ...Option) *Server {
 // by scatter-gather (with degradation metadata in the response), /v1/stats
 // reports per-shard health, /v1/relations routes adds to shards.
 func NewCluster(cl *semdisco.Cluster, opts ...Option) *Server {
-	s := &Server{cluster: cl, reg: cl.MetricsRegistry()}
+	return newFederated(cl, func(r *StatsResponse) {
+		cs := cl.Stats()
+		r.Cluster = &cs
+	}, opts)
+}
+
+// newFederated builds a federated-mode Server around cl.
+func newFederated(cl *semdisco.Cluster, stats func(*StatsResponse), opts []Option) *Server {
+	s := &Server{cluster: cl, clusterStats: stats, reg: cl.MetricsRegistry()}
 	s.init(opts)
 	return s
 }
@@ -325,9 +331,9 @@ type StatsResponse struct {
 	semdisco.EngineStats
 	Cluster *semdisco.ClusterStats `json:"cluster,omitempty"`
 	// Netcluster carries coordinator-mode health: the federated router view
-	// plus each replica set's failover counters and ring share.
-	Netcluster    *netcluster.CoordinatorStats `json:"netcluster,omitempty"`
-	UptimeSeconds float64                      `json:"uptime_seconds"`
+	// plus each replica set's failover counters.
+	Netcluster    *semdisco.NetCoordinatorStats `json:"netcluster,omitempty"`
+	UptimeSeconds float64                       `json:"uptime_seconds"`
 }
 
 // ErrorResponse is the unified error shape every non-2xx response on this
@@ -391,21 +397,12 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 }
 
 func (s *Server) handleStats(w http.ResponseWriter, _ *http.Request) {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
 	resp := StatsResponse{UptimeSeconds: time.Since(s.start).Seconds()}
-	switch {
-	case s.cluster != nil:
-		cs := s.cluster.Stats()
-		resp.Cluster = &cs
+	if s.cluster != nil {
+		s.clusterStats(&resp)
 		resp.Method = s.cluster.Method().String()
 		resp.NumRelations = s.cluster.NumRelations()
-	case s.coord != nil:
-		ns := s.coord.Stats()
-		resp.Netcluster = &ns
-		resp.Method = s.coord.Method().String()
-		resp.NumRelations = s.coord.NumRelations()
-	default:
+	} else {
 		resp.EngineStats = s.eng.Stats()
 	}
 	writeJSON(w, http.StatusOK, resp)
@@ -416,14 +413,8 @@ func (s *Server) handleSearch(w http.ResponseWriter, r *http.Request) {
 	if !ok {
 		return
 	}
-	s.mu.RLock()
-	defer s.mu.RUnlock()
 	if s.cluster != nil {
 		s.clusterSearch(w, r, req)
-		return
-	}
-	if s.coord != nil {
-		s.coordSearch(w, r, req)
 		return
 	}
 	var (
@@ -446,24 +437,26 @@ func (s *Server) handleSearch(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusInternalServerError, err.Error())
 		return
 	}
-	resp := SearchResponse{Matches: make([]MatchJSON, len(matches)), Cost: cost}
+	resp := SearchResponse{Matches: matchesJSON(matches), Cost: cost, Trace: traceJSON(stages)}
 	if sc, ok := obs.SpanContextFrom(r.Context()); ok && len(req.Sources) == 0 {
 		// Engine searches continue the middleware's span context, so its
 		// trace ID is the one the stored trace carries. Source-filtered
 		// searches are not traced.
 		resp.TraceID = sc.TraceID.String()
 	}
-	for i, m := range matches {
-		resp.Matches[i] = MatchJSON{RelationID: m.RelationID, Score: m.Score}
-	}
-	if stages != nil {
-		t := &TraceJSON{Stages: stages}
-		for _, st := range stages {
-			t.TotalMS += st.DurationMS
-		}
-		resp.Trace = t
-	}
 	writeJSON(w, http.StatusOK, resp)
+}
+
+// traceJSON totals a per-stage breakdown for the response; nil without one.
+func traceJSON(stages []semdisco.TraceStage) *TraceJSON {
+	if stages == nil {
+		return nil
+	}
+	t := &TraceJSON{Stages: stages}
+	for _, st := range stages {
+		t.TotalMS += st.DurationMS
+	}
+	return t
 }
 
 func (s *Server) handleDatasets(w http.ResponseWriter, r *http.Request) {
@@ -474,8 +467,6 @@ func (s *Server) handleDatasets(w http.ResponseWriter, r *http.Request) {
 	if !s.requireEngine(w) {
 		return
 	}
-	s.mu.RLock()
-	defer s.mu.RUnlock()
 	datasets, err := s.eng.SearchDatasets(req.Query, req.K)
 	if err != nil {
 		writeError(w, http.StatusInternalServerError, err.Error())
@@ -492,16 +483,9 @@ func (s *Server) handleDatasets(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, resp)
 }
 
-// RelationJSON mirrors semdisco.Relation for the ingest endpoint.
-type RelationJSON struct {
-	ID           string     `json:"id"`
-	Source       string     `json:"source"`
-	PageTitle    string     `json:"page_title,omitempty"`
-	SectionTitle string     `json:"section_title,omitempty"`
-	Caption      string     `json:"caption,omitempty"`
-	Columns      []string   `json:"columns"`
-	Rows         [][]string `json:"rows"`
-}
+// RelationJSON is the body of the ingest and update endpoints: a
+// semdisco.Relation in the same JSON form a coordinator replicates.
+type RelationJSON = netcluster.Relation
 
 func (s *Server) handleAddRelation(w http.ResponseWriter, r *http.Request) {
 	var rel RelationJSON
@@ -510,18 +494,7 @@ func (s *Server) handleAddRelation(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	annotate(r, slog.String("relation", rel.ID))
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	err := s.add(r.Context(), &semdisco.Relation{
-		ID:           rel.ID,
-		Source:       rel.Source,
-		PageTitle:    rel.PageTitle,
-		SectionTitle: rel.SectionTitle,
-		Caption:      rel.Caption,
-		Columns:      rel.Columns,
-		Rows:         rel.Rows,
-	})
-	if err != nil {
+	if err := s.add(r.Context(), rel.Table()); err != nil {
 		writeBackendError(w, err, http.StatusBadRequest)
 		return
 	}
@@ -534,15 +507,10 @@ func (s *Server) handleAddRelation(w http.ResponseWriter, r *http.Request) {
 func (s *Server) handleDeleteRelation(w http.ResponseWriter, r *http.Request) {
 	id := r.PathValue("id")
 	annotate(r, slog.String("relation", id))
-	s.mu.Lock()
-	defer s.mu.Unlock()
 	var err error
-	switch {
-	case s.coord != nil:
-		err = s.coord.Delete(r.Context(), id)
-	case s.cluster != nil:
-		err = s.cluster.Delete(id)
-	default:
+	if s.cluster != nil {
+		err = s.cluster.DeleteContext(r.Context(), id)
+	} else {
 		err = s.eng.Delete(id)
 	}
 	if err != nil {

@@ -11,18 +11,20 @@ import (
 	"semdisco/internal/netcluster"
 )
 
-// NewCoordinator builds a Server fronting a networked-cluster coordinator:
-// /v1/search and /v1/search/batch answer by wire-level scatter-gather over
-// the replica sets (with the same degradation metadata cluster mode
-// reports), /v1/relations writes route to the ring-owning set's replicas,
-// /v1/stats reports router plus per-replica-set failover health, and the
-// trace endpoints serve the coordinator's store — federated span trees with
-// every winning replica's remote spans grafted in. Engine-only surfaces
-// (datasets, index debug, recall probes) respond 501.
+// NewCoordinator builds a federated-mode Server fronting a networked
+// cluster's coordinator: /v1/search and /v1/search/batch answer by
+// wire-level scatter-gather over the replica sets (with the same
+// degradation metadata cluster mode reports), /v1/relations writes route
+// to the ring-owning set's replicas, /v1/stats reports router plus
+// per-replica-set failover health, and the trace endpoints serve the
+// coordinator's store — federated span trees with every winning replica's
+// remote spans grafted in. Engine-only surfaces (datasets, index debug,
+// recall probes) respond 501.
 func NewCoordinator(nc *semdisco.NetCoordinator, opts ...Option) *Server {
-	s := &Server{coord: nc, reg: nc.MetricsRegistry()}
-	s.init(opts)
-	return s
+	return newFederated(nc.Cluster, func(r *StatsResponse) {
+		ns := nc.Stats()
+		r.Netcluster = &ns
+	}, opts)
 }
 
 // writeBackendError maps a backend mutation/search error onto the unified
@@ -45,36 +47,6 @@ func writeBackendError(w http.ResponseWriter, err error, fallback int) {
 	writeError(w, fallback, err.Error())
 }
 
-// coordSearch answers /v1/search by networked scatter-gather. The request
-// context rides down to every replica attempt as a wire deadline and
-// traceparent; a whole replica set failing degrades the answer instead of
-// failing it. The per-stage trace flag is not supported here — the full
-// federated span tree (including shard-side spans) is retrievable at
-// /v1/debug/traces/{trace_id} instead. Caller holds the read lock.
-func (s *Server) coordSearch(w http.ResponseWriter, r *http.Request, req SearchRequest) {
-	if len(req.Sources) > 0 {
-		writeError(w, http.StatusNotImplemented, "source-filtered search not available in coordinator mode")
-		return
-	}
-	res, err := s.coord.SearchContext(r.Context(), req.Query, req.K)
-	if err != nil {
-		writeError(w, http.StatusInternalServerError, err.Error())
-		return
-	}
-	cost := res.Cost
-	resp := SearchResponse{
-		Matches:  matchesJSON(res.Matches),
-		TraceID:  res.TraceID,
-		Degraded: res.Degraded,
-		CacheHit: res.CacheHit,
-		Cost:     &cost,
-	}
-	for _, se := range res.ShardErrors {
-		resp.ShardErrors = append(resp.ShardErrors, se.Error())
-	}
-	writeJSON(w, http.StatusOK, resp)
-}
-
 // handleUpdateRelation replaces a relation's contents in place (PUT
 // /v1/relations/{id}): tombstone plus re-ingest under the same ID, moving
 // the relation to the end of the global merge order. The body's ID may be
@@ -95,28 +67,15 @@ func (s *Server) handleUpdateRelation(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	annotate(r, slog.String("relation", id))
-	sr := &semdisco.Relation{
-		ID:           rel.ID,
-		Source:       rel.Source,
-		PageTitle:    rel.PageTitle,
-		SectionTitle: rel.SectionTitle,
-		Caption:      rel.Caption,
-		Columns:      rel.Columns,
-		Rows:         rel.Rows,
-	}
+	sr := rel.Table()
 	if err := sr.Validate(); err != nil {
 		writeError(w, http.StatusBadRequest, err.Error())
 		return
 	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
 	var err error
-	switch {
-	case s.coord != nil:
-		err = s.coord.Update(r.Context(), sr)
-	case s.cluster != nil:
-		err = s.cluster.Update(sr)
-	default:
+	if s.cluster != nil {
+		err = s.cluster.UpdateContext(r.Context(), sr)
+	} else {
 		err = s.eng.Update(sr)
 	}
 	if err != nil {

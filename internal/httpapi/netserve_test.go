@@ -1,10 +1,12 @@
 package httpapi
 
 import (
+	"context"
 	"encoding/json"
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"strings"
 	"testing"
 	"time"
 
@@ -228,8 +230,8 @@ func TestCoordinatorServerWriteRoutes(t *testing.T) {
 }
 
 // TestCoordinatorServerEngineOnlySurfaces: endpoints that need a local
-// engine answer 501 with the unified body in coordinator mode, and the
-// engine-only workload analytics endpoint honestly 404s.
+// engine answer 501 with the unified body in coordinator mode, while the
+// workload analytics the coordinator runs itself are served.
 func TestCoordinatorServerEngineOnlySurfaces(t *testing.T) {
 	srv, _ := coordServer(t)
 	rec, out := do(t, srv, "GET", "/v1/debug/index", "")
@@ -244,7 +246,124 @@ func TestCoordinatorServerEngineOnlySurfaces(t *testing.T) {
 		t.Fatalf("code = %q, want %q", eresp.Code, netcluster.CodeNotImplemented)
 	}
 	rec, _ = do(t, srv, "GET", "/v1/debug/workload", "")
-	if rec.Code != http.StatusNotFound {
-		t.Fatalf("debug/workload = %d, want 404", rec.Code)
+	if rec.Code != http.StatusOK {
+		t.Fatalf("debug/workload = %d, want 200", rec.Code)
+	}
+}
+
+// hangCoordServer is coordServer with every coordinator→replica request
+// passing a fault injector; it also returns the replica URLs per set.
+func hangCoordServer(t *testing.T) (*Server, *netcluster.FaultInjector, [][]string) {
+	t.Helper()
+	fed := netFed(t, 24)
+	cfg := semdisco.Config{Method: semdisco.ExS, Dim: 64, Seed: 1}
+	const sets, reps = 2, 2
+	replicaSets := make([][]string, sets)
+	for s := 0; s < sets; s++ {
+		for r := 0; r < reps; r++ {
+			eng, err := semdisco.NewNetShard(fed, semdisco.NetShardConfig{Config: cfg, Sets: sets, Set: s})
+			if err != nil {
+				t.Fatal(err)
+			}
+			srv := httptest.NewServer(New(eng))
+			t.Cleanup(srv.Close)
+			replicaSets[s] = append(replicaSets[s], srv.URL)
+		}
+	}
+	inj := netcluster.NewFaultInjector(nil)
+	nc, err := semdisco.NewNetCoordinator(fed, replicaSets, semdisco.NetCoordinatorConfig{
+		Config:         cfg,
+		AttemptTimeout: 2 * time.Second,
+		Transport:      inj,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return NewCoordinator(nc), inj, replicaSets
+}
+
+// TestCoordinatorServerSearchDuringHungWrite: a replicated write stuck on
+// a wedged replica must not stall reads — the server holds no lock across
+// a request, and the coordinator holds none across a remote write.
+func TestCoordinatorServerSearchDuringHungWrite(t *testing.T) {
+	srv, inj, replicaSets := hangCoordServer(t)
+	const id = "rel-hang"
+	ring, err := netcluster.NewRing(len(replicaSets), 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Only the write's first replica request hangs, until the write's
+	// request context is cancelled.
+	inj.Set(replicaSets[ring.Owner(id)][0], netcluster.Fault{Hang: true, Remaining: 1})
+
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	written := make(chan int, 1)
+	go func() {
+		req := httptest.NewRequest("POST", "/v1/relations", strings.NewReader(
+			`{"id":"`+id+`","source":"src-9","columns":["a"],"rows":[["abc"]]}`)).WithContext(ctx)
+		rec := httptest.NewRecorder()
+		srv.ServeHTTP(rec, req)
+		written <- rec.Code
+	}()
+	deadline := time.Now().Add(5 * time.Second)
+	for inj.Injected()["hang"] == 0 {
+		if time.Now().After(deadline) {
+			t.Fatal("the write never reached the hung replica")
+		}
+		time.Sleep(time.Millisecond)
+	}
+
+	searched := make(chan int, 1)
+	go func() {
+		rec, _ := do(t, srv, "POST", "/v1/search", `{"query":"abc","k":5}`)
+		searched <- rec.Code
+	}()
+	select {
+	case code := <-searched:
+		if code != http.StatusOK {
+			t.Fatalf("search during the hung write = %d, want 200", code)
+		}
+	case <-time.After(500 * time.Millisecond):
+		t.Fatal("search blocked behind the hung write")
+	}
+	select {
+	case <-written:
+		t.Fatal("the write finished while its replica was still hung")
+	default:
+	}
+	cancel()
+	<-written
+}
+
+// TestCoordinatorServerTraceRequestID: a coordinator search's stored trace
+// carries the request's X-Request-Id, as engine and cluster traces do.
+func TestCoordinatorServerTraceRequestID(t *testing.T) {
+	srv, _ := coordServer(t)
+	srv.cluster.ConfigureTracing(keepAll)
+	rec, body := doHdr(t, srv, "POST", "/v1/search", `{"query":"abc","k":3}`,
+		map[string]string{"X-Request-Id": "r-12"})
+	if rec.Code != http.StatusOK {
+		t.Fatalf("search = %d: %s", rec.Code, body)
+	}
+	var resp SearchResponse
+	if err := json.Unmarshal(body, &resp); err != nil {
+		t.Fatal(err)
+	}
+	if resp.TraceID == "" {
+		t.Fatal("search response carries no trace ID")
+	}
+	rec, body = do(t, srv, "GET", "/v1/debug/traces/"+resp.TraceID, "")
+	if rec.Code != http.StatusOK {
+		t.Fatalf("trace %s = %d: %s", resp.TraceID, rec.Code, body)
+	}
+	var tr struct {
+		RequestID string `json:"request_id"`
+	}
+	if err := json.Unmarshal(body, &tr); err != nil {
+		t.Fatal(err)
+	}
+	if tr.RequestID != "r-12" {
+		t.Fatalf("stored trace request_id = %q, want r-12", tr.RequestID)
 	}
 }

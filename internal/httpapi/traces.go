@@ -18,10 +18,7 @@ const (
 // when tracing is disabled (a nil *obs.TraceStore is a valid no-op, but
 // the handlers distinguish it to answer 404 honestly).
 func (s *Server) traces() *obs.TraceStore {
-	switch {
-	case s.coord != nil:
-		return s.coord.Traces()
-	case s.cluster != nil:
+	if s.cluster != nil {
 		return s.cluster.Traces()
 	}
 	return s.eng.Traces()
@@ -138,7 +135,7 @@ func (s *Server) handleDebugTrace(w http.ResponseWriter, r *http.Request) {
 	id := r.PathValue("id")
 	st, ok := store.Get(id)
 	if !ok {
-		writeError(w, http.StatusNotFound, "no retained trace " + id + "; only interesting or head-sampled traces are stored")
+		writeError(w, http.StatusNotFound, "no retained trace "+id+"; only interesting or head-sampled traces are stored")
 		return
 	}
 	writeJSON(w, http.StatusOK, TraceResponse{StoredTrace: st, Tree: SpanTree(st.Spans)})

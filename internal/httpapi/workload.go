@@ -10,12 +10,7 @@ import (
 // fronts: heavy-hitter queries, per-shard load counters and the
 // costliest-queries board.
 func (s *Server) workload() *obs.Workload {
-	switch {
-	case s.coord != nil:
-		// The coordinator does not run workload analytics; the handler
-		// answers 404 honestly.
-		return nil
-	case s.cluster != nil:
+	if s.cluster != nil {
 		return s.cluster.Workload()
 	}
 	return s.eng.Workload()
@@ -24,10 +19,7 @@ func (s *Server) workload() *obs.Workload {
 // slo returns whichever backend's SLO burn-rate engine the server fronts;
 // nil when Config.SLO.Disable was set.
 func (s *Server) slo() *obs.SLOEngine {
-	switch {
-	case s.coord != nil:
-		return s.coord.SLO()
-	case s.cluster != nil:
+	if s.cluster != nil {
 		return s.cluster.SLO()
 	}
 	return s.eng.SLO()

@@ -14,6 +14,11 @@ import (
 	"semdisco/internal/cluster"
 )
 
+// These tests run a networked coordinator's data path below the semdisco
+// facade: a cluster.Router over one replica Group per set, the shape
+// semdisco.NewNetCoordinator wires. Cache fencing on writes belongs to
+// the facade and is tested there (TestNetClusterWriteFencesCache).
+
 // writeLog records the mutations one replica server received.
 type writeLog struct {
 	mu  sync.Mutex
@@ -44,7 +49,8 @@ func globalOrder(id string) int {
 }
 
 type coordFixture struct {
-	coord    *Coordinator
+	router   *cluster.Router
+	groups   []*Group
 	inj      *FaultInjector
 	urls     [][]string
 	backends []*fakeBackend
@@ -53,10 +59,13 @@ type coordFixture struct {
 
 // newCoordFixture stands up sets×replicas replica servers — each serving
 // its set's fake backend over the wire protocol plus logging write
-// endpoints — behind one fault-injecting transport and a Coordinator.
-func newCoordFixture(t *testing.T, sets, replicas int, opts CoordinatorOptions) *coordFixture {
+// endpoints — behind one fault-injecting transport, one Group per set,
+// and a Router over the groups.
+func newCoordFixture(t *testing.T, sets, replicas int, opts GroupOptions) *coordFixture {
 	t.Helper()
 	fx := &coordFixture{inj: NewFaultInjector(nil)}
+	newClient := func(u string) *Client { return NewClient(u, fx.inj) }
+	var shards []cluster.Shard
 	for s := 0; s < sets; s++ {
 		backend := &fakeBackend{matches: rankedMatches(s, 10)}
 		fx.backends = append(fx.backends, backend)
@@ -83,50 +92,55 @@ func newCoordFixture(t *testing.T, sets, replicas int, opts CoordinatorOptions) 
 			urls = append(urls, srv.URL)
 			logs = append(logs, log)
 		}
+		g, err := NewGroup(s, urls, newClient, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		fx.groups = append(fx.groups, g)
+		shards = append(shards, g)
 		fx.urls = append(fx.urls, urls)
 		fx.logs = append(fx.logs, logs)
 	}
-	if opts.Encode == nil {
-		opts.Encode = func(string) []float32 { return testVec }
-	}
-	if opts.Order == nil {
-		opts.Order = globalOrder
-	}
-	if opts.Method == "" {
-		opts.Method = "ExS"
-	}
-	opts.Transport = fx.inj
-	coord, err := NewCoordinator(fx.urls, opts)
+	router, err := cluster.NewRouter(shards, make([]int, sets), cluster.Options{
+		Method: "ExS",
+		Encode: func(string) []float32 { return testVec },
+		Order:  globalOrder,
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	fx.coord = coord
+	fx.router = router
 	return fx
 }
 
 func TestCoordinatorValidation(t *testing.T) {
 	enc := func(string) []float32 { return testVec }
 	ord := func(string) int { return 0 }
-	if _, err := NewCoordinator(nil, CoordinatorOptions{Encode: enc, Order: ord}); err == nil {
+	newClient := func(u string) *Client { return NewClient(u, nil) }
+	if _, err := cluster.NewRouter(nil, nil, cluster.Options{Encode: enc, Order: ord}); err == nil {
 		t.Error("want error for zero replica sets")
 	}
-	if _, err := NewCoordinator([][]string{{"http://x"}}, CoordinatorOptions{Order: ord}); err == nil {
+	g, err := NewGroup(0, []string{"http://x"}, newClient, GroupOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	sets := []cluster.Shard{g}
+	if _, err := cluster.NewRouter(sets, []int{0}, cluster.Options{Order: ord}); err == nil {
 		t.Error("want error for missing Encode")
 	}
-	if _, err := NewCoordinator([][]string{{"http://x"}}, CoordinatorOptions{Encode: enc}); err == nil {
+	if _, err := cluster.NewRouter(sets, []int{0}, cluster.Options{Encode: enc}); err == nil {
 		t.Error("want error for missing Order")
 	}
-	if _, err := NewCoordinator([][]string{{}}, CoordinatorOptions{Encode: enc, Order: ord}); err == nil {
+	if _, err := NewGroup(0, nil, newClient, GroupOptions{}); err == nil {
 		t.Error("want error for an empty replica set")
 	}
 }
 
 // TestCoordinatorMatchesRouter is the wire layer's correctness invariant:
-// the networked merge over replica servers must be bit-identical — IDs,
-// order, and float32 scores — to an in-process Router over the same
-// backends.
+// the merge over replica servers must be bit-identical — IDs, order, and
+// float32 scores — to a Router over the same backends in process.
 func TestCoordinatorMatchesRouter(t *testing.T) {
-	fx := newCoordFixture(t, 3, 2, CoordinatorOptions{})
+	fx := newCoordFixture(t, 3, 2, GroupOptions{})
 	shards := make([]cluster.Shard, len(fx.backends))
 	counts := make([]int, len(fx.backends))
 	for i, b := range fx.backends {
@@ -147,9 +161,9 @@ func TestCoordinatorMatchesRouter(t *testing.T) {
 		if err != nil {
 			t.Fatalf("k=%d router: %v", k, err)
 		}
-		got, err := fx.coord.Search(ctx, "q", k)
+		got, err := fx.router.Search(ctx, "q", k)
 		if err != nil {
-			t.Fatalf("k=%d coordinator: %v", k, err)
+			t.Fatalf("k=%d over the wire: %v", k, err)
 		}
 		if got.Degraded {
 			t.Fatalf("k=%d: degraded with no faults: %v", k, got.ShardErrors)
@@ -163,10 +177,10 @@ func TestCoordinatorMatchesRouter(t *testing.T) {
 // TestCoordinatorBatchMatchesSequential: the batched fan-out must answer
 // each item exactly as the sequential path would.
 func TestCoordinatorBatchMatchesSequential(t *testing.T) {
-	fx := newCoordFixture(t, 2, 2, CoordinatorOptions{})
+	fx := newCoordFixture(t, 2, 2, GroupOptions{})
 	ctx := context.Background()
 	items := []cluster.BatchQuery{{Query: "a", K: 3}, {Query: "b", K: 7}, {Query: "c", K: 15}}
-	batch, err := fx.coord.SearchBatch(ctx, items)
+	batch, err := fx.router.SearchBatch(ctx, items)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -174,7 +188,7 @@ func TestCoordinatorBatchMatchesSequential(t *testing.T) {
 		t.Fatalf("%d results for %d items", len(batch), len(items))
 	}
 	for i, it := range items {
-		want, err := fx.coord.Search(ctx, it.Query, it.K)
+		want, err := fx.router.Search(ctx, it.Query, it.K)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -185,13 +199,13 @@ func TestCoordinatorBatchMatchesSequential(t *testing.T) {
 }
 
 // TestCoordinatorDegradedWhenSetDown: one whole replica set failing
-// degrades the answer to the surviving partitions; every set failing is an
-// error.
+// degrades the answer to the surviving partitions; every set failing is
+// an error.
 func TestCoordinatorDegradedWhenSetDown(t *testing.T) {
-	fx := newCoordFixture(t, 2, 1, CoordinatorOptions{})
+	fx := newCoordFixture(t, 2, 1, GroupOptions{})
 	ctx := context.Background()
 	fx.inj.Set(fx.urls[1][0], Fault{Drop: true, Remaining: -1})
-	res, err := fx.coord.Search(ctx, "q", 10)
+	res, err := fx.router.Search(ctx, "q", 10)
 	if err != nil {
 		t.Fatalf("partial degradation must not error: %v", err)
 	}
@@ -210,19 +224,21 @@ func TestCoordinatorDegradedWhenSetDown(t *testing.T) {
 		}
 	}
 	fx.inj.Set(fx.urls[0][0], Fault{Drop: true, Remaining: -1})
-	if _, err := fx.coord.Search(ctx, "q2", 10); err == nil {
+	if _, err := fx.router.Search(ctx, "q2", 10); err == nil {
 		t.Fatal("want error with every set down")
 	}
 }
 
+// TestCoordinatorWriteFanOut: a write reaches every replica of its set
+// and no other set.
 func TestCoordinatorWriteFanOut(t *testing.T) {
-	fx := newCoordFixture(t, 2, 2, CoordinatorOptions{})
+	fx := newCoordFixture(t, 2, 2, GroupOptions{})
 	ctx := context.Background()
 	rel := Relation{ID: "new-1", Source: "s", Columns: []string{"a"}, Rows: [][]string{{"x"}}}
-	if err := fx.coord.Add(ctx, rel); err != nil {
+	const owner = 1
+	if err := fx.groups[owner].Add(ctx, rel); err != nil {
 		t.Fatalf("add: %v", err)
 	}
-	owner := fx.coord.Ring().Owner(rel.ID)
 	for s := range fx.logs {
 		for r, log := range fx.logs[s] {
 			want := 0
@@ -237,14 +253,15 @@ func TestCoordinatorWriteFanOut(t *testing.T) {
 }
 
 // TestCoordinatorWritePartialFailure: a mutation applied on some replicas
-// of the owning set but not others must surface as *WriteError naming the
+// of the set but not others must surface as *WriteError naming the
 // replicas needing repair — not vanish, and not look like a clean failure.
 func TestCoordinatorWritePartialFailure(t *testing.T) {
-	fx := newCoordFixture(t, 1, 2, CoordinatorOptions{})
+	fx := newCoordFixture(t, 1, 2, GroupOptions{})
+	g := fx.groups[0]
 	ctx := context.Background()
 	fx.inj.Set(fx.urls[0][1], Fault{Drop: true, Remaining: -1})
 	rel := Relation{ID: "new-2", Source: "s", Columns: []string{"a"}, Rows: [][]string{{"x"}}}
-	err := fx.coord.Add(ctx, rel)
+	err := g.Add(ctx, rel)
 	var we *WriteError
 	if !errors.As(err, &we) {
 		t.Fatalf("want *WriteError, got %v", err)
@@ -262,7 +279,7 @@ func TestCoordinatorWritePartialFailure(t *testing.T) {
 
 	// Every replica failing is a plain error, not a partial WriteError.
 	fx.inj.Set(fx.urls[0][0], Fault{Drop: true, Remaining: -1})
-	err = fx.coord.Delete(ctx, "new-2")
+	err = g.Delete(ctx, "new-2")
 	if err == nil {
 		t.Fatal("want error with every replica down")
 	}
@@ -273,54 +290,19 @@ func TestCoordinatorWritePartialFailure(t *testing.T) {
 	// Recovery: a cleared transport applies the write everywhere.
 	fx.inj.Clear(fx.urls[0][0])
 	fx.inj.Clear(fx.urls[0][1])
-	if err := fx.coord.Update(ctx, rel); err != nil {
+	if err := g.Update(ctx, rel); err != nil {
 		t.Fatalf("update after recovery: %v", err)
 	}
 }
 
-// TestCoordinatorWriteFencesCache: any applied write must invalidate the
-// owning set's cached results — a cached ranking from before the mutation
-// is stale.
-func TestCoordinatorWriteFencesCache(t *testing.T) {
-	fx := newCoordFixture(t, 1, 1, CoordinatorOptions{CacheSize: 8})
-	ctx := context.Background()
-	if _, err := fx.coord.Search(ctx, "q", 5); err != nil {
-		t.Fatal(err)
-	}
-	res, err := fx.coord.Search(ctx, "q", 5)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !res.CacheHit {
-		t.Fatal("second identical search missed the cache")
-	}
-	if got := fx.backends[0].calls.Load(); got != 1 {
-		t.Fatalf("backend saw %d calls before the write, want 1", got)
-	}
-	rel := Relation{ID: "new-3", Source: "s", Columns: []string{"a"}, Rows: [][]string{{"x"}}}
-	if err := fx.coord.Add(ctx, rel); err != nil {
-		t.Fatal(err)
-	}
-	res, err = fx.coord.Search(ctx, "q", 5)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.CacheHit {
-		t.Fatal("search after a write served the stale cached result")
-	}
-	if got := fx.backends[0].calls.Load(); got != 2 {
-		t.Fatalf("backend saw %d calls after the write, want 2", got)
-	}
-}
-
-// TestCoordinatorHungReplicaTail: end-to-end, a wedged replica must cost
+// TestCoordinatorHungReplicaTail: end to end, a wedged replica must cost
 // at most the attempt timeout, never hang the query.
 func TestCoordinatorHungReplicaTail(t *testing.T) {
-	fx := newCoordFixture(t, 2, 2, CoordinatorOptions{AttemptTimeout: 100 * time.Millisecond})
+	fx := newCoordFixture(t, 2, 2, GroupOptions{AttemptTimeout: 100 * time.Millisecond})
 	fx.inj.Set(fx.urls[0][0], Fault{Hang: true, Remaining: -1})
 	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
 	defer cancel()
-	res, err := fx.coord.Search(ctx, "q", 10)
+	res, err := fx.router.Search(ctx, "q", 10)
 	if err != nil {
 		t.Fatalf("search with a hung replica: %v", err)
 	}

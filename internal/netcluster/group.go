@@ -7,6 +7,7 @@ import (
 	"math/rand"
 	"sort"
 	"strconv"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -60,12 +61,6 @@ type GroupOptions struct {
 	// HedgeAfter is how many recorded latencies the set needs before its
 	// p95 is trusted for hedging; default 16.
 	HedgeAfter int
-	// BackoffBase seeds the exponential backoff between sequential
-	// failover retries (base, 2·base, 4·base, … each with up to 50% added
-	// jitter); default 5ms.
-	BackoffBase time.Duration
-	// BackoffMax caps a single backoff sleep; default 250ms.
-	BackoffMax time.Duration
 	// Registry receives the group's metrics; nil disables them.
 	Registry *obs.Registry
 }
@@ -77,14 +72,16 @@ func (o GroupOptions) withDefaults() GroupOptions {
 	if o.HedgeAfter == 0 {
 		o.HedgeAfter = 16
 	}
-	if o.BackoffBase == 0 {
-		o.BackoffBase = 5 * time.Millisecond
-	}
-	if o.BackoffMax == 0 {
-		o.BackoffMax = 250 * time.Millisecond
-	}
 	return o
 }
+
+// Sequential failover retries back off exponentially from backoffBase
+// (base, 2·base, 4·base, …), each sleep capped at backoffMax and given up
+// to 50% added jitter.
+const (
+	backoffBase = 5 * time.Millisecond
+	backoffMax  = 250 * time.Millisecond
+)
 
 // replicaState is one replica's health counters.
 type replicaState struct {
@@ -142,18 +139,6 @@ func NewGroup(set int, urls []string, rt func(string) *Client, opts GroupOptions
 	return g, nil
 }
 
-// Replicas reports the set's member count.
-func (g *Group) Replicas() int { return len(g.clients) }
-
-// URLs reports the member base URLs.
-func (g *Group) URLs() []string {
-	out := make([]string, len(g.clients))
-	for i, c := range g.clients {
-		out[i] = c.URL()
-	}
-	return out
-}
-
 func (g *Group) recordLatency(d time.Duration) {
 	g.latMu.Lock()
 	g.lat[g.latNext] = d
@@ -196,13 +181,13 @@ func (g *Group) hedgeDelay() (time.Duration, bool) {
 }
 
 // backoff returns the nth sequential-retry sleep: exponential from
-// BackoffBase, capped at BackoffMax, with up to 50% added jitter so a
+// backoffBase, capped at backoffMax, with up to 50% added jitter so a
 // coordinator fleet retrying a flapping replica does not beat on it in
 // lockstep.
-func (g *Group) backoff(n int) time.Duration {
-	d := g.opts.BackoffBase << uint(n)
-	if d > g.opts.BackoffMax || d <= 0 {
-		d = g.opts.BackoffMax
+func backoff(n int) time.Duration {
+	d := backoffBase << uint(n)
+	if d > backoffMax || d <= 0 {
+		d = backoffMax
 	}
 	return d + time.Duration(rand.Int63n(int64(d)/2+1))
 }
@@ -297,7 +282,7 @@ func (g *Group) race(ctx context.Context, do func(context.Context, *Client) (int
 			if launched < n && backoffC == nil {
 				g.retries.Add(1)
 				g.reg.Counter(obs.L(MetricRetries, "set", strconv.Itoa(g.set))).Inc()
-				backoffT = time.NewTimer(g.backoff(retryN))
+				backoffT = time.NewTimer(backoff(retryN))
 				backoffC = backoffT.C
 				retryN++
 			} else if done == launched && launched == n {
@@ -369,6 +354,76 @@ func (g *Group) SearchEncodedBatch(ctx context.Context, qs [][]float32, ks []int
 		}
 	}
 	return p.ms, nil
+}
+
+// WriteError is a partial write-path failure: some replicas of the owning
+// set applied the mutation and others did not. The mutation is durable on
+// the replicas that took it; the listed ones need repair (or a retry of
+// the same idempotent call).
+type WriteError struct {
+	Op       string
+	ID       string
+	Set      int
+	Failed   []string // replica URLs that failed
+	Applied  int      // replicas that applied the write
+	LastErr  error
+	Replicas int
+}
+
+func (e *WriteError) Error() string {
+	return fmt.Sprintf("netcluster: %s %q on set %d applied on %d/%d replicas (failed: %s): %v",
+		e.Op, e.ID, e.Set, e.Applied, e.Replicas, strings.Join(e.Failed, ", "), e.LastErr)
+}
+
+// Unwrap exposes the last replica error to errors.Is/As.
+func (e *WriteError) Unwrap() error { return e.LastErr }
+
+// writeAll applies one mutation to every replica of the set, in member
+// order. A partial application returns *WriteError naming the replicas
+// needing repair; every replica failing returns a plain error.
+func (g *Group) writeAll(ctx context.Context, op, id string, apply func(context.Context, *Client) error) error {
+	var (
+		failed  []string
+		lastErr error
+		applied int
+	)
+	for _, cl := range g.clients {
+		if err := apply(ctx, cl); err != nil {
+			failed = append(failed, cl.URL())
+			lastErr = err
+			continue
+		}
+		applied++
+	}
+	if lastErr == nil {
+		return nil
+	}
+	if applied == 0 {
+		return fmt.Errorf("netcluster: %s %q failed on every replica of set %d: %w", op, id, g.set, lastErr)
+	}
+	return &WriteError{Op: op, ID: id, Set: g.set, Failed: failed, Applied: applied,
+		LastErr: lastErr, Replicas: len(g.clients)}
+}
+
+// Add ingests one new relation on every replica of the set.
+func (g *Group) Add(ctx context.Context, rel Relation) error {
+	return g.writeAll(ctx, "add", rel.ID, func(ctx context.Context, cl *Client) error {
+		return cl.AddRelation(ctx, rel)
+	})
+}
+
+// Delete tombstones a relation on every replica of the set.
+func (g *Group) Delete(ctx context.Context, id string) error {
+	return g.writeAll(ctx, "delete", id, func(ctx context.Context, cl *Client) error {
+		return cl.DeleteRelation(ctx, id)
+	})
+}
+
+// Update replaces a relation's contents on every replica of the set.
+func (g *Group) Update(ctx context.Context, rel Relation) error {
+	return g.writeAll(ctx, "update", rel.ID, func(ctx context.Context, cl *Client) error {
+		return cl.UpdateRelation(ctx, rel)
+	})
 }
 
 // ReplicaStats is one replica's health snapshot.

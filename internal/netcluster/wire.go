@@ -3,6 +3,7 @@ package netcluster
 import (
 	"semdisco/internal/core"
 	"semdisco/internal/obs"
+	"semdisco/internal/table"
 )
 
 // Wire paths of the internal coordinator↔shard protocol. They live under
@@ -82,8 +83,9 @@ type EncodedBatchResponse struct {
 	Spans   []obs.SpanRecord `json:"spans,omitempty"`
 }
 
-// Relation is a relation on the write path (coordinator → every replica
-// of the owning set). It mirrors httpapi.RelationJSON.
+// Relation is a relation's JSON form on the write path: the public
+// ingest body (httpapi.RelationJSON), and what a coordinator sends every
+// replica of the owning set.
 type Relation struct {
 	ID           string     `json:"id"`
 	Source       string     `json:"source"`
@@ -92,6 +94,18 @@ type Relation struct {
 	Caption      string     `json:"caption,omitempty"`
 	Columns      []string   `json:"columns"`
 	Rows         [][]string `json:"rows"`
+}
+
+// RelationOf converts a relation to its JSON form.
+func RelationOf(r *table.Relation) Relation {
+	return Relation{ID: r.ID, Source: r.Source, PageTitle: r.PageTitle,
+		SectionTitle: r.SectionTitle, Caption: r.Caption, Columns: r.Columns, Rows: r.Rows}
+}
+
+// Table converts the JSON form back to a relation.
+func (r Relation) Table() *table.Relation {
+	return &table.Relation{ID: r.ID, Source: r.Source, PageTitle: r.PageTitle,
+		SectionTitle: r.SectionTitle, Caption: r.Caption, Columns: r.Columns, Rows: r.Rows}
 }
 
 // toWire converts matches to their wire form.

@@ -4,13 +4,9 @@ import (
 	"context"
 	"fmt"
 	"net/http"
-	"sync"
 	"time"
 
-	"semdisco/internal/cluster"
-	"semdisco/internal/embed"
 	"semdisco/internal/netcluster"
-	"semdisco/internal/obs"
 )
 
 // EncodedBackend exposes the engine's encoded-search path — what a shard
@@ -109,22 +105,15 @@ type NetCoordinatorConfig struct {
 	Transport http.RoundTripper
 }
 
-// NetCoordinator is the client-facing node of a networked cluster,
-// built from the same federation the shards loaded: it owns the shared
-// encoder (queries are embedded exactly once, raw vectors fan out over
-// the wire) and the global insertion order the merge tie-breaks on, and
-// routes every search and mutation through a netcluster.Coordinator.
+// NetCoordinator is the client-facing node of a networked cluster: a
+// Cluster whose shards are replica sets of shard servers, built from the
+// same federation the shards loaded. The cluster owns the shared encoder
+// (queries are embedded exactly once, raw vectors fan out over the wire),
+// the global insertion order the merge tie-breaks on, and the telemetry;
+// the replica sets add failover, hedging and write fan-out. NetCoordinator
+// adds only context-bound writes and the replica-set health view.
 type NetCoordinator struct {
-	coord  *netcluster.Coordinator
-	cfg    NetCoordinatorConfig
-	model  *embed.Model
-	reg    *obs.Registry
-	traces *obs.TraceStore
-	slo    *obs.SLOEngine
-	// orderMu guards order/nextOrder: mutations write, merges read.
-	orderMu   sync.RWMutex
-	order     map[string]int
-	nextOrder int
+	*Cluster
 }
 
 // NewNetCoordinator builds a coordinator over replica sets:
@@ -136,189 +125,85 @@ func NewNetCoordinator(fed *Federation, replicaSets [][]string, cfg NetCoordinat
 	if fed == nil || fed.Len() == 0 {
 		return nil, fmt.Errorf("semdisco: empty federation")
 	}
-	idf := cfg.IDF
-	if idf == nil {
-		idf = statsIDF(federationStats(fed))
-	}
-	model := embed.New(embed.Config{
-		Dim:     cfg.Dim,
-		Seed:    cfg.Seed,
-		Lexicon: cfg.Lexicon,
-		IDF:     idf,
-	})
-	var reg *obs.Registry
-	if !cfg.DisableMetrics {
-		reg = obs.NewRegistry()
-	}
-	model.SetObserver(reg)
-
-	order := make(map[string]int, fed.Len())
-	for i, r := range fed.Relations() {
-		order[r.ID] = i
-	}
-	nc := &NetCoordinator{
-		cfg:       cfg,
-		model:     model,
-		reg:       reg,
-		traces:    newTraceStore(cfg.Tracing),
-		slo:       newSLOEngine(cfg.SLO, reg),
-		order:     order,
-		nextOrder: fed.Len(),
-	}
-	coord, err := netcluster.NewCoordinator(replicaSets, netcluster.CoordinatorOptions{
-		Encode: model.Encode,
-		Order: func(relID string) int {
-			nc.orderMu.RLock()
-			o, ok := nc.order[relID]
-			nc.orderMu.RUnlock()
-			if ok {
-				return o
-			}
-			return int(^uint(0) >> 1) // unknown IDs tie-break last
-		},
-		Method:         cfg.Method.String(),
-		Slack:          cfg.Slack,
-		CacheSize:      cfg.CacheSize,
-		Vnodes:         cfg.Vnodes,
-		AttemptTimeout: cfg.AttemptTimeout,
-		Hedge:          cfg.Hedge,
-		MinHedgeDelay:  cfg.MinHedgeDelay,
-		HedgeAfter:     cfg.HedgeAfter,
-		Transport:      cfg.Transport,
-		Registry:       reg,
-		Traces:         nc.traces,
-	})
+	ring, err := netcluster.NewRing(len(replicaSets), cfg.Vnodes)
 	if err != nil {
 		return nil, fmt.Errorf("semdisco: %w", err)
 	}
-	nc.coord = coord
-	return nc, nil
-}
-
-// Search answers a query by networked scatter-gather over the replica
-// sets. See SearchContext.
-func (nc *NetCoordinator) Search(query string, k int) (*ClusterResult, error) {
-	return nc.SearchContext(context.Background(), query, k)
-}
-
-// SearchContext encodes the query once, fans the raw vector out to one
-// replica per set (with failover, hedging and per-attempt timeouts inside
-// each set), and merges per-set answers bit-identically to the in-process
-// cluster. A whole replica set failing degrades the Result; only every
-// set failing — or ctx expiring — returns an error.
-func (nc *NetCoordinator) SearchContext(ctx context.Context, query string, k int) (*ClusterResult, error) {
-	start := time.Now()
-	res, err := nc.coord.Search(ctx, query, k)
-	nc.slo.Record(time.Since(start), err != nil || (res != nil && res.Degraded))
-	return res, err
-}
-
-// SearchBatch answers a block of queries with one networked fan-out per
-// replica set.
-func (nc *NetCoordinator) SearchBatch(ctx context.Context, queries []Query) ([]*ClusterResult, error) {
-	items := make([]cluster.BatchQuery, len(queries))
-	for i, q := range queries {
-		items[i] = cluster.BatchQuery{Query: q.Text, K: q.K}
-	}
-	start := time.Now()
-	results, err := nc.coord.SearchBatch(ctx, items)
-	failed := err != nil
-	for _, r := range results {
-		if r != nil && r.Degraded {
-			failed = true
+	model, reg, _ := federationEncoder(fed, cfg.Config)
+	reg.SetHelps(netcluster.MetricHelp)
+	newClient := func(u string) *netcluster.Client { return netcluster.NewClient(u, cfg.Transport) }
+	shards := make([]clusterShard, len(replicaSets))
+	for i, urls := range replicaSets {
+		g, err := netcluster.NewGroup(i, urls, newClient, netcluster.GroupOptions{
+			AttemptTimeout: cfg.AttemptTimeout,
+			Hedge:          cfg.Hedge,
+			MinHedgeDelay:  cfg.MinHedgeDelay,
+			HedgeAfter:     cfg.HedgeAfter,
+			Registry:       reg,
+		})
+		if err != nil {
+			return nil, fmt.Errorf("semdisco: %w", err)
 		}
+		shards[i] = clusterShard{group: g}
 	}
-	nc.slo.Record(time.Since(start), failed)
-	return results, err
+	order := make(map[string]int, fed.Len())
+	relCounts := make([]int, len(replicaSets))
+	for i, r := range fed.Relations() {
+		order[r.ID] = i
+		relCounts[ring.Owner(r.ID)]++
+	}
+	// The router's own per-shard timeout and same-shard hedging stay off:
+	// each group bounds its attempts and hedges across replicas, which a
+	// same-shard retry could never do for a wedged server.
+	c, err := newCluster(ClusterConfig{
+		Config:    cfg.Config,
+		Shards:    len(replicaSets),
+		Slack:     cfg.Slack,
+		CacheSize: cfg.CacheSize,
+	}, model, reg, shards, relCounts, order, fed.Len())
+	if err != nil {
+		return nil, err
+	}
+	c.ring = ring
+	return &NetCoordinator{Cluster: c}, nil
 }
 
 // Add routes one new relation to its ring-owning set, ingesting it on
-// every replica of that set, and appends it to the global merge order.
+// every replica of that set, and appends it to the global merge order. A
+// write applied on only some replicas returns *netcluster.WriteError.
 func (nc *NetCoordinator) Add(ctx context.Context, r *Relation) error {
-	if err := r.Validate(); err != nil {
-		return err
-	}
-	if err := nc.coord.Add(ctx, toWireRelation(r)); err != nil {
-		return err
-	}
-	nc.orderMu.Lock()
-	if _, ok := nc.order[r.ID]; !ok {
-		nc.order[r.ID] = nc.nextOrder
-		nc.nextOrder++
-	}
-	nc.orderMu.Unlock()
-	return nil
+	return nc.AddContext(ctx, r)
 }
 
 // Delete tombstones a relation on every replica of its owning set.
 func (nc *NetCoordinator) Delete(ctx context.Context, id string) error {
-	if err := nc.coord.Delete(ctx, id); err != nil {
-		return err
-	}
-	nc.orderMu.Lock()
-	delete(nc.order, id)
-	nc.orderMu.Unlock()
-	return nil
+	return nc.DeleteContext(ctx, id)
 }
 
 // Update replaces a relation's contents on every replica of its owning
 // set and moves it to the end of the global merge order, matching
 // single-engine Update semantics.
 func (nc *NetCoordinator) Update(ctx context.Context, r *Relation) error {
-	if err := r.Validate(); err != nil {
-		return err
-	}
-	if err := nc.coord.Update(ctx, toWireRelation(r)); err != nil {
-		return err
-	}
-	nc.orderMu.Lock()
-	nc.order[r.ID] = nc.nextOrder
-	nc.nextOrder++
-	nc.orderMu.Unlock()
-	return nil
+	return nc.UpdateContext(ctx, r)
 }
-
-// toWireRelation converts a relation to its wire form for the write path.
-func toWireRelation(r *Relation) netcluster.Relation {
-	return netcluster.Relation{
-		ID:           r.ID,
-		Source:       r.Source,
-		PageTitle:    r.PageTitle,
-		SectionTitle: r.SectionTitle,
-		Caption:      r.Caption,
-		Columns:      r.Columns,
-		Rows:         r.Rows,
-	}
-}
-
-// Method reports the deployment's search strategy label.
-func (nc *NetCoordinator) Method() Method { return nc.cfg.Method }
 
 // NumSets reports the replica-set (partition) count.
-func (nc *NetCoordinator) NumSets() int { return nc.coord.NumSets() }
+func (nc *NetCoordinator) NumSets() int { return nc.NumShards() }
 
-// NumRelations reports the live relation count in the global merge order.
-func (nc *NetCoordinator) NumRelations() int {
-	nc.orderMu.RLock()
-	defer nc.orderMu.RUnlock()
-	return len(nc.order)
+// NetCoordinatorStats is a coordinator's health snapshot: the router's
+// federated view (per-set latency, cache, degradation) plus each replica
+// set's failover counters.
+type NetCoordinatorStats struct {
+	Sets   int                     `json:"sets"`
+	Router ClusterStats            `json:"router"`
+	Groups []netcluster.GroupStats `json:"groups"`
 }
 
-// Embed exposes the coordinator's encoder — the exact vectors it fans out.
-func (nc *NetCoordinator) Embed(text string) []float32 { return nc.model.Encode(text) }
-
-// Stats snapshots the coordinator's health: the federated router view plus
-// each replica set's failover counters.
-func (nc *NetCoordinator) Stats() netcluster.CoordinatorStats { return nc.coord.Stats() }
-
-// MetricsRegistry exposes the coordinator's metrics registry (nil under
-// Config.DisableMetrics; a nil registry is valid everywhere).
-func (nc *NetCoordinator) MetricsRegistry() *obs.Registry { return nc.reg }
-
-// Traces exposes the coordinator's tail-sampling trace store — retained
-// federated span trees with every winning replica's remote spans grafted
-// in. Nil when tracing is disabled.
-func (nc *NetCoordinator) Traces() *obs.TraceStore { return nc.traces }
-
-// SLO exposes the coordinator's burn-rate engine; nil when disabled.
-func (nc *NetCoordinator) SLO() *obs.SLOEngine { return nc.slo }
+// Stats snapshots router and replica-set health.
+func (nc *NetCoordinator) Stats() NetCoordinatorStats {
+	s := NetCoordinatorStats{Sets: len(nc.shards), Router: nc.Cluster.Stats()}
+	for _, sh := range nc.shards {
+		s.Groups = append(s.Groups, sh.group.Stats())
+	}
+	return s
+}

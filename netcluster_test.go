@@ -305,3 +305,69 @@ func TestNetClusterWritePath(t *testing.T) {
 		t.Fatal("deleting an unknown relation must error")
 	}
 }
+
+// TestNetClusterWriteFencesCache: an applied write must invalidate the
+// coordinator's cached results — a cached ranking from before the
+// mutation is stale.
+func TestNetClusterWriteFencesCache(t *testing.T) {
+	fx := newNetFixture(t, 48)
+	replicaSets := make([][]string, len(fx.servers))
+	for s, row := range fx.servers {
+		for _, srv := range row {
+			replicaSets[s] = append(replicaSets[s], srv.URL)
+		}
+	}
+	nc, err := NewNetCoordinator(synthFederation(t, 48), replicaSets, NetCoordinatorConfig{
+		Config:    Config{Method: ExS, Dim: 64, Seed: 1},
+		CacheSize: 8,
+		Transport: fx.inj,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx := context.Background()
+	if _, err := nc.SearchContext(ctx, "abc def", 5); err != nil {
+		t.Fatal(err)
+	}
+	res, err := nc.SearchContext(ctx, "abc def", 5)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !res.CacheHit {
+		t.Fatal("second identical search missed the cache")
+	}
+	rel := &Relation{ID: "rel-new", Source: "src-9", Columns: []string{"a", "b"},
+		Rows: [][]string{{"abc", "def"}, {"abc", "def"}}}
+	if err := nc.Add(ctx, rel); err != nil {
+		t.Fatal(err)
+	}
+	res, err = nc.SearchContext(ctx, "abc def", 5)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.CacheHit {
+		t.Fatal("search after a write served the stale cached result")
+	}
+	if res.Matches[0].RelationID != "rel-new" {
+		t.Fatalf("top match after the write = %s, want the added rel-new", res.Matches[0].RelationID)
+	}
+	if st := nc.Stats(); st.Router.CacheHits != 1 || st.Router.CacheMisses != 2 {
+		t.Fatalf("cache hits/misses = %d/%d, want 1/2", st.Router.CacheHits, st.Router.CacheMisses)
+	}
+}
+
+// TestNetClusterCoordinatorValidation: a coordinator needs a federation
+// and at least one non-empty replica set.
+func TestNetClusterCoordinatorValidation(t *testing.T) {
+	fed := synthFederation(t, 8)
+	cfg := NetCoordinatorConfig{Config: Config{Method: ExS, Dim: 16, Seed: 1}}
+	if _, err := NewNetCoordinator(NewFederation(), [][]string{{"http://x"}}, cfg); err == nil {
+		t.Error("want error for an empty federation")
+	}
+	if _, err := NewNetCoordinator(fed, nil, cfg); err == nil {
+		t.Error("want error for zero replica sets")
+	}
+	if _, err := NewNetCoordinator(fed, [][]string{{}}, cfg); err == nil {
+		t.Error("want error for an empty replica set")
+	}
+}

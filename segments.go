@@ -4,6 +4,7 @@ import (
 	"time"
 
 	"semdisco/internal/core"
+	"semdisco/internal/obs"
 	"semdisco/internal/segment"
 )
 
@@ -69,6 +70,17 @@ func segmentStoreOptions(cfg Config) core.SegmentStoreOptions {
 		Method:       cfg.Method.String(),
 		AutoMaintain: !cfg.Segments.Manual,
 	}
+}
+
+// newSegmentStore indexes an embedded corpus with the configured method
+// and wraps it as a fresh segment store's base segment.
+func newSegmentStore(cfg Config, emb *core.Embedded, reg *obs.Registry) (*core.SegmentStore, error) {
+	emb.Obs = reg
+	s, err := buildSearcher(cfg, emb)
+	if err != nil {
+		return nil, err
+	}
+	return core.NewSegmentStore(emb, s, segmentStoreOptions(cfg)), nil
 }
 
 // mutableExSOptions derives the exhaustive-scan options for the mutable

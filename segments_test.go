@@ -5,6 +5,7 @@ import (
 	"context"
 	"fmt"
 	"reflect"
+	"sort"
 	"sync"
 	"testing"
 )
@@ -552,5 +553,110 @@ func TestClusterSaveLoadChurned(t *testing.T) {
 	}
 	if err := re.Delete("rel-04"); err == nil {
 		t.Fatal("tombstone lost in roundtrip: deleted relation resurfaced")
+	}
+}
+
+// TestClusterConcurrentWritesAndSearches: writers and searchers share a
+// cluster with no outside lock. Searches never fail mid-churn, every
+// surviving relation keeps a merge rank, and once the writers finish the
+// cluster ranks bit-identically to a single engine fed the survivors in
+// that merge order.
+func TestClusterConcurrentWritesAndSearches(t *testing.T) {
+	rels := make(map[string]*Relation)
+	fed := NewFederation()
+	for i := 0; i < 12; i++ {
+		r := churnRelation(fmt.Sprintf("rel-%02d", i), i)
+		rels[r.ID] = r
+		if err := fed.Add(r); err != nil {
+			t.Fatal(err)
+		}
+	}
+	const writers, adds = 2, 10
+	for w := 0; w < writers; w++ {
+		for i := 0; i < adds; i++ {
+			r := churnRelation(fmt.Sprintf("w%d-%02d", w, i), i+w)
+			rels[r.ID] = r
+		}
+	}
+	cfg := churnConfig(SegmentsConfig{})
+	cl, err := NewCluster(fed, ClusterConfig{Config: cfg, Shards: 3, Policy: ShardRoundRobin, CacheSize: 8})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var wg sync.WaitGroup
+	for w := 0; w < writers; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			for i := 0; i < adds; i++ {
+				id := fmt.Sprintf("w%d-%02d", w, i)
+				if err := cl.Add(rels[id]); err != nil {
+					t.Errorf("add %s: %v", id, err)
+					return
+				}
+				if i%3 == 0 {
+					if err := cl.Delete(id); err != nil {
+						t.Errorf("delete %s: %v", id, err)
+						return
+					}
+				}
+			}
+		}(w)
+	}
+	for s := 0; s < 2; s++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < 30; i++ {
+				if _, err := cl.Search(churnTopics[i%len(churnTopics)], 5); err != nil {
+					t.Errorf("search during churn: %v", err)
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	if t.Failed() {
+		return
+	}
+
+	cl.orderMu.RLock()
+	live := make([]string, 0, len(cl.order))
+	for id := range cl.order {
+		live = append(live, id)
+	}
+	sort.Slice(live, func(i, j int) bool { return cl.order[live[i]] < cl.order[live[j]] })
+	cl.orderMu.RUnlock()
+	const want = 12 + writers*(adds-4) // every writer deletes adds 0, 3, 6, 9
+	if len(live) != want || cl.NumRelations() != want {
+		t.Fatalf("cluster ranks %d relations and reports %d, want %d", len(live), cl.NumRelations(), want)
+	}
+	ref := NewFederation()
+	for _, id := range live {
+		if err := ref.Add(rels[id]); err != nil {
+			t.Fatal(err)
+		}
+	}
+	single, err := Open(ref, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, q := range churnTopics {
+		want, err := single.Search(q, 10)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := cl.Search(q, 10)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(got.Matches) != len(want) {
+			t.Fatalf("q=%q: %d matches, engine %d", q, len(got.Matches), len(want))
+		}
+		for i := range want {
+			if got.Matches[i] != want[i] {
+				t.Fatalf("q=%q match %d: cluster %+v, engine %+v", q, i, got.Matches[i], want[i])
+			}
+		}
 	}
 }

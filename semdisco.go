@@ -152,12 +152,43 @@ func Open(fed *Federation, cfg Config) (*Engine, error) {
 	if fed == nil || fed.Len() == 0 {
 		return nil, fmt.Errorf("semdisco: empty federation")
 	}
+	model, reg, stats := federationEncoder(fed, cfg)
+	embedStart := time.Now()
+	emb := core.EmbedFederation(fed, model)
+	reg.Gauge(obs.L(core.MetricBuildSeconds, "phase", "embed")).Set(time.Since(embedStart).Seconds())
+	store, err := newSegmentStore(cfg, emb, reg)
+	if err != nil {
+		return nil, err
+	}
+	relSource := make(map[string]string, fed.Len())
+	for _, r := range fed.Relations() {
+		relSource[r.ID] = r.Source
+	}
+	return &Engine{cfg: cfg, model: model, store: store, obs: reg,
+		diag:     newDiagnostics(cfg.Diagnostics, reg),
+		traces:   newTraceStore(cfg.Tracing),
+		workload: newWorkload(1, reg),
+		slo:      newSLOEngine(cfg.SLO, reg),
+		stats:    stats, relSource: relSource}, nil
+}
+
+// federationEncoder builds the encoder for fed and the metrics registry it
+// reports to. Without cfg.IDF the encoder weighs tokens by IDF statistics
+// over the full federation, returned so Save can persist them.
+func federationEncoder(fed *Federation, cfg Config) (*embed.Model, *obs.Registry, *text.CorpusStats) {
 	idf := cfg.IDF
 	var stats *text.CorpusStats
 	if idf == nil {
 		stats = federationStats(fed)
 		idf = statsIDF(stats)
 	}
+	model, reg := newEncoder(cfg, idf)
+	return model, reg, stats
+}
+
+// newEncoder builds an encoder over the given IDF weighting, observed by a
+// fresh metrics registry (nil under cfg.DisableMetrics).
+func newEncoder(cfg Config, idf func(string) float64) (*embed.Model, *obs.Registry) {
 	model := embed.New(embed.Config{
 		Dim:     cfg.Dim,
 		Seed:    cfg.Seed,
@@ -170,26 +201,7 @@ func Open(fed *Federation, cfg Config) (*Engine, error) {
 	}
 	reg.SetHelps(core.MetricHelp)
 	model.SetObserver(reg)
-	embedStart := time.Now()
-	emb := core.EmbedFederation(fed, model)
-	reg.Gauge(obs.L(core.MetricBuildSeconds, "phase", "embed")).Set(time.Since(embedStart).Seconds())
-	emb.Obs = reg
-
-	s, err := buildSearcher(cfg, emb)
-	if err != nil {
-		return nil, err
-	}
-	store := core.NewSegmentStore(emb, s, segmentStoreOptions(cfg))
-	relSource := make(map[string]string, fed.Len())
-	for _, r := range fed.Relations() {
-		relSource[r.ID] = r.Source
-	}
-	return &Engine{cfg: cfg, model: model, store: store, obs: reg,
-		diag:     newDiagnostics(cfg.Diagnostics, reg),
-		traces:   newTraceStore(cfg.Tracing),
-		workload: newWorkload(1, reg),
-		slo:      newSLOEngine(cfg.SLO, reg),
-		stats:    stats, relSource: relSource}, nil
+	return model, reg
 }
 
 // buildSearcher constructs the configured method's index over an embedded
